@@ -34,18 +34,10 @@ from .evaluation import (
     max_simultaneous_sources,
 )
 from .pipeline import ExperimentResult, run_experiment
-from .recovery import (
-    BasePair,
-    column_angles,
-    sample_angle,
-    select_base_pair,
-    separate,
-    solve_pair,
-)
+from .recovery import column_angles, separate
 from .signals import (
     PulseSpec,
     ThUwbConfig,
-    gaussian_pulse,
     generate_sources,
     mix,
     pulse_shape,
@@ -55,7 +47,6 @@ from .signals import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasePair",
     "ConfigError",
     "EstimatedMatrix",
     "ExperimentConfig",
@@ -74,7 +65,6 @@ __all__ = [
     "default_activity_eps",
     "estimate_mixing",
     "export_bar_graph",
-    "gaussian_pulse",
     "generate_sources",
     "hop_windows_for_mode",
     "load_config",
@@ -83,9 +73,6 @@ __all__ = [
     "pulse_shape",
     "random_mixing",
     "run_experiment",
-    "sample_angle",
-    "select_base_pair",
     "separate",
-    "solve_pair",
     "validate_mixing_matrix",
 ]

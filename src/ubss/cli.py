@@ -82,24 +82,15 @@ def _seed_override(args) -> int | None:
 
 def _load(args):
     cfg = load_config(args.config, seed_override=_seed_override(args))
-    updates = {}
-    if getattr(args, "quantum", None) is not None:
-        updates["quantum"] = args.quantum
-    if getattr(args, "peak_fraction", None) is not None:
-        updates["peak_fraction"] = args.peak_fraction
-    if getattr(args, "activity_eps", None) is not None:
-        updates["activity_eps"] = args.activity_eps
+    # ExperimentConfig validates the overridden values when replace rebuilds it
+    updates = {
+        key: getattr(args, key)
+        for key in ("quantum", "peak_fraction", "activity_eps")
+        if getattr(args, key, None) is not None
+    }
     if args.out_dir is not None:
         updates["output_dir"] = Path(args.out_dir)
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    if cfg.quantum <= 0.0:
-        raise ConfigError(f"quantum must be positive, got {cfg.quantum}")
-    if not 0.0 < cfg.peak_fraction < 1.0:
-        raise ConfigError(f"peak_fraction must lie in (0, 1), got {cfg.peak_fraction}")
-    if cfg.activity_eps is not None and cfg.activity_eps <= 0.0:
-        raise ConfigError(f"activity_eps must be positive, got {cfg.activity_eps}")
-    return cfg
+    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def main(argv=None) -> int:

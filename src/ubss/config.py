@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import configparser
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,14 @@ class ExperimentConfig:
     quantum: float = DEFAULT_QUANTUM
     peak_fraction: float = DEFAULT_PEAK_FRACTION
     activity_eps: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.quantum > 0.0:
+            raise ConfigError(f"quantum must be positive, got {self.quantum}")
+        if not 0.0 < self.peak_fraction < 1.0:
+            raise ConfigError(f"peak_fraction must lie in (0, 1), got {self.peak_fraction}")
+        if self.activity_eps is not None and not self.activity_eps > 0.0:
+            raise ConfigError(f"activity_eps must be positive, got {self.activity_eps}")
 
 
 def default_activity_eps(x1: np.ndarray) -> float:
@@ -222,19 +230,6 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
                 )
 
     est = parser["estimation"] if "estimation" in parser else {}
-    quantum = _get(est, "quantum", float, default=DEFAULT_QUANTUM) if est else DEFAULT_QUANTUM
-    peak_fraction = (
-        _get(est, "peak_fraction", float, default=DEFAULT_PEAK_FRACTION)
-        if est
-        else DEFAULT_PEAK_FRACTION
-    )
-    activity_eps = _get(est, "activity_eps", float, default=None) if est else None
-    if quantum <= 0.0:
-        raise ConfigError(f"[estimation] quantum must be positive, got {quantum}")
-    if not 0.0 < peak_fraction < 1.0:
-        raise ConfigError(f"[estimation] peak_fraction must lie in (0, 1), got {peak_fraction}")
-    if activity_eps is not None and activity_eps <= 0.0:
-        raise ConfigError(f"[estimation] activity_eps must be positive, got {activity_eps}")
 
     run = parser["run"]
     mode_raw = _get(run, "overlap_mode", str, default=OverlapMode.AT_MOST_TWO.value)
@@ -253,7 +248,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         output_dir=out_dir,
         mixing_rows=mixing_rows,
         mixing_seed=mixing_seed,
-        quantum=quantum,
-        peak_fraction=peak_fraction,
-        activity_eps=activity_eps,
+        quantum=_get(est, "quantum", float, default=DEFAULT_QUANTUM),
+        peak_fraction=_get(est, "peak_fraction", float, default=DEFAULT_PEAK_FRACTION),
+        activity_eps=_get(est, "activity_eps", float),
     )

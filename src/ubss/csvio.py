@@ -17,15 +17,12 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_signals(path, signals: np.ndarray, prefix: str = "ch") -> None:
+def write_signals(path, signals: np.ndarray) -> None:
     x = np.asarray(signals, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"signals must be 2-D, got shape {x.shape}")
-    header = ",".join(f"{prefix}{k + 1}" for k in range(x.shape[1]))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in x:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    header = ",".join(f"ch{k + 1}" for k in range(x.shape[1]))
+    np.savetxt(path, x, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_signals(path) -> np.ndarray:
@@ -45,7 +42,11 @@ def read_signals(path) -> np.ndarray:
             raise ValueError(f"{path}: row {num} has a non-numeric field") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows)
+    x = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {int(bad[0]) + 2} has a non-finite field")
+    return x
 
 
 def write_estimated_matrix(path, est: EstimatedMatrix) -> None:

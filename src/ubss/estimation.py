@@ -9,7 +9,7 @@ column-normalized form [1, ..., 1; r_1, ..., r_N].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,30 +105,20 @@ def _merged_bins(hist: RatioHistogram) -> list[tuple[int, int]]:
     return merged
 
 
-def estimate_mixing(
-    hist: RatioHistogram,
-    peak_fraction: float = 0.1,
-    top_k: int | None = None,
-) -> EstimatedMatrix:
+def estimate_mixing(hist: RatioHistogram, peak_fraction: float = 0.1) -> EstimatedMatrix:
     """Keep the dominant histogram modes as the estimated column ratios.
 
     After neighbor merging, bins whose count reaches peak_fraction times the
-    largest count survive (ties at the threshold are kept).  top_k overrides
-    the threshold when the source count is known.  Ratios come out ordered by
-    descending count, ties by lower ratio.
+    largest count survive (ties at the threshold are kept).  Ratios come out
+    ordered by descending count, ties by lower ratio.
     """
     if not hist.bins:
         raise ValueError("empty histogram: no active samples to estimate from")
     if not 0.0 < peak_fraction < 1.0:
         raise ValueError(f"peak_fraction must lie in (0, 1), got {peak_fraction}")
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
     merged = sorted(_merged_bins(hist), key=lambda nc: (-nc[1], nc[0]))
-    if top_k is not None:
-        selected = merged[:top_k]
-    else:
-        cutoff = peak_fraction * merged[0][1]
-        selected = [(n, c) for n, c in merged if c >= cutoff]
+    cutoff = peak_fraction * merged[0][1]
+    selected = [(n, c) for n, c in merged if c >= cutoff]
     return EstimatedMatrix(np.array([float(n) * hist.quantum for n, _ in selected]))
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -60,17 +59,12 @@ def _correlation_table(truth: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     return table
 
 
-def align_and_score(
-    truth: np.ndarray,
-    estimates: np.ndarray,
-    method: str = "greedy",
-) -> SeparationReport:
+def align_and_score(truth: np.ndarray, estimates: np.ndarray) -> SeparationReport:
     """Match estimated columns to true sources by largest absolute correlation.
 
     The greedy matcher repeatedly pairs the globally best remaining |C| (ties
     by lower estimated then lower true index), so constant estimated columns,
-    scored 0, are matched last.  method="exhaustive" instead maximizes the
-    total |C| over all assignments and is intended for small column counts.
+    scored 0, are matched last.
     """
     s = np.asarray(truth, dtype=float)
     y = np.asarray(estimates, dtype=float)
@@ -78,40 +72,20 @@ def align_and_score(
         raise ValueError("truth and estimates must be 2-D (samples x channels)")
     if s.shape[0] != y.shape[0]:
         raise ValueError(f"sample count mismatch: {s.shape[0]} vs {y.shape[0]}")
-    if method not in ("greedy", "exhaustive"):
-        raise ValueError(f"unknown matching method {method!r}")
 
     table = _correlation_table(s, y)
     n_est, n_true = table.shape
-    n_match = min(n_est, n_true)
     matched: dict[int, int] = {}
-
-    if method == "greedy":
-        free_est = set(range(n_est))
-        free_true = set(range(n_true))
-        for _ in range(n_match):
-            best = max(
-                ((e, t) for e in sorted(free_est) for t in sorted(free_true)),
-                key=lambda et: (abs(table[et]), -et[0], -et[1]),
-            )
-            matched[best[0]] = best[1]
-            free_est.remove(best[0])
-            free_true.remove(best[1])
-    else:
-        if n_est <= n_true:
-            best_sum, best_assign = -1.0, None
-            for perm in permutations(range(n_true), n_est):
-                total = sum(abs(table[e, t]) for e, t in enumerate(perm))
-                if total > best_sum + 1e-15:
-                    best_sum, best_assign = total, perm
-            matched = dict(enumerate(best_assign))
-        else:
-            best_sum, best_assign = -1.0, None
-            for perm in permutations(range(n_est), n_true):
-                total = sum(abs(table[e, t]) for t, e in enumerate(perm))
-                if total > best_sum + 1e-15:
-                    best_sum, best_assign = total, perm
-            matched = {e: t for t, e in enumerate(best_assign)}
+    free_est = set(range(n_est))
+    free_true = set(range(n_true))
+    for _ in range(min(n_est, n_true)):
+        best = max(
+            ((e, t) for e in sorted(free_est) for t in sorted(free_true)),
+            key=lambda et: (abs(table[et]), -et[0], -et[1]),
+        )
+        matched[best[0]] = best[1]
+        free_est.remove(best[0])
+        free_true.remove(best[1])
 
     permutation: list[int | None] = [matched.get(e) for e in range(n_est)]
     coefficients = [float(table[e, matched[e]]) for e in sorted(matched)]

@@ -3,7 +3,8 @@
 run_experiment chains generation, mixing, matrix estimation, separation, and
 scoring, writing every artifact to the output directory.  The stage functions
 perform the same steps one at a time against CSV files; chaining them
-reproduces run_experiment's outputs byte for byte.
+reproduces run_experiment's outputs byte for byte, because both compute
+through the same helpers and write every artifact through the same writer.
 """
 
 from __future__ import annotations
@@ -79,33 +80,37 @@ def build_sources(cfg: ExperimentConfig) -> np.ndarray:
     return generate_sources(cfg.th_uwb, cfg.pulses, hop_windows=windows)
 
 
-def _ensure_dir(out_dir) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _write_svg(path, text: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
-def stage_generate(cfg: ExperimentConfig, out_dir) -> np.ndarray:
-    out = _ensure_dir(out_dir)
-    sources = build_sources(cfg)
-    csvio.write_signals(out / SOURCES_CSV, sources)
-    _write_svg(out / SOURCES_SVG, svgplot.waveform_svg(sources))
-    return sources
+def _write_artifacts(
+    out_dir, *, sources=None, mixtures=None, estimate=None, separated=None, report=None
+) -> Path:
+    """The one writer of every artifact: writes those given into out_dir.
 
-
-def stage_mix(cfg: ExperimentConfig, sources_path, out_dir) -> np.ndarray:
-    out = _ensure_dir(out_dir)
-    sources = csvio.read_signals(sources_path)
-    mixing = validate_mixing_matrix(resolve_mixing(cfg))
-    mixtures = mix(sources, mixing)
-    csvio.write_signals(out / MIXTURES_CSV, mixtures)
-    _write_svg(out / MIXTURES_SVG, svgplot.waveform_svg(mixtures))
-    return mixtures
+    estimate is the (histogram, estimated matrix) pair.  Returns out_dir,
+    created if missing.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for signals, csv_name, svg_name in (
+        (sources, SOURCES_CSV, SOURCES_SVG),
+        (mixtures, MIXTURES_CSV, MIXTURES_SVG),
+        (separated, SEPARATED_CSV, SEPARATED_SVG),
+    ):
+        if signals is not None:
+            csvio.write_signals(out / csv_name, signals)
+            _write_svg(out / svg_name, svgplot.waveform_svg(signals))
+    if estimate is not None:
+        hist, est = estimate
+        export_bar_graph(hist, out / HISTOGRAM_CSV)
+        _write_svg(out / HISTOGRAM_SVG, svgplot.bar_graph_svg(hist))
+        csvio.write_estimated_matrix(out / MATRIX_CSV, est)
+    if report is not None:
+        csvio.write_report(out / REPORT_CSV, report)
+    return out
 
 
 def _resolve_eps(cfg: ExperimentConfig, x1: np.ndarray) -> float:
@@ -114,35 +119,44 @@ def _resolve_eps(cfg: ExperimentConfig, x1: np.ndarray) -> float:
     return default_activity_eps(x1)
 
 
-def stage_estimate(cfg: ExperimentConfig, mixtures_path, out_dir):
-    out = _ensure_dir(out_dir)
-    mixtures = csvio.read_signals(mixtures_path)
+def _estimate(cfg: ExperimentConfig, mixtures: np.ndarray):
+    """Activity threshold, ratio histogram and estimated matrix of the mixtures."""
     eps = _resolve_eps(cfg, mixtures[:, 0])
     hist = build_histogram(compute_ratios(mixtures, eps), cfg.quantum)
-    est = estimate_mixing(hist, cfg.peak_fraction)
-    export_bar_graph(hist, out / HISTOGRAM_CSV)
-    _write_svg(out / HISTOGRAM_SVG, svgplot.bar_graph_svg(hist))
-    csvio.write_estimated_matrix(out / MATRIX_CSV, est)
+    return eps, hist, estimate_mixing(hist, cfg.peak_fraction)
+
+
+def stage_generate(cfg: ExperimentConfig, out_dir) -> np.ndarray:
+    sources = build_sources(cfg)
+    _write_artifacts(out_dir, sources=sources)
+    return sources
+
+
+def stage_mix(cfg: ExperimentConfig, sources_path, out_dir) -> np.ndarray:
+    sources = csvio.read_signals(sources_path)
+    mixtures = mix(sources, validate_mixing_matrix(resolve_mixing(cfg)))
+    _write_artifacts(out_dir, mixtures=mixtures)
+    return mixtures
+
+
+def stage_estimate(cfg: ExperimentConfig, mixtures_path, out_dir):
+    _, hist, est = _estimate(cfg, csvio.read_signals(mixtures_path))
+    _write_artifacts(out_dir, estimate=(hist, est))
     return hist, est
 
 
 def stage_separate(cfg: ExperimentConfig, mixtures_path, matrix_path, out_dir) -> np.ndarray:
-    out = _ensure_dir(out_dir)
     mixtures = csvio.read_signals(mixtures_path)
     est = csvio.read_estimated_matrix(matrix_path)
-    eps = _resolve_eps(cfg, mixtures[:, 0])
-    separated = separate(mixtures, est, eps)
-    csvio.write_signals(out / SEPARATED_CSV, separated)
-    _write_svg(out / SEPARATED_SVG, svgplot.waveform_svg(separated))
+    separated = separate(mixtures, est, _resolve_eps(cfg, mixtures[:, 0]))
+    _write_artifacts(out_dir, separated=separated)
     return separated
 
 
 def stage_score(sources_path, separated_path, out_dir) -> SeparationReport:
-    out = _ensure_dir(out_dir)
     truth = csvio.read_signals(sources_path)
-    separated = csvio.read_signals(separated_path)
-    report = align_and_score(truth, separated)
-    csvio.write_report(out / REPORT_CSV, report)
+    report = align_and_score(truth, csvio.read_signals(separated_path))
+    _write_artifacts(out_dir, report=report)
     return report
 
 
@@ -166,9 +180,7 @@ def run_experiment(
 
     sources = build_sources(cfg)
     mixtures = mix(sources, mixing)
-    eps = _resolve_eps(cfg, mixtures[:, 0])
-    hist = build_histogram(compute_ratios(mixtures, eps), cfg.quantum)
-    est = estimate_mixing(hist, cfg.peak_fraction)
+    eps, hist, est = _estimate(cfg, mixtures)
     separated, pairs = separate(mixtures, est, eps, return_pairs=True)
     report = align_and_score(sources, separated)
     wrong = count_uncovered(sources, pairs, report.permutation)
@@ -176,17 +188,14 @@ def run_experiment(
 
     out = None
     if write_files:
-        out = _ensure_dir(out_dir if out_dir is not None else cfg.output_dir)
-        csvio.write_signals(out / SOURCES_CSV, sources)
-        _write_svg(out / SOURCES_SVG, svgplot.waveform_svg(sources))
-        csvio.write_signals(out / MIXTURES_CSV, mixtures)
-        _write_svg(out / MIXTURES_SVG, svgplot.waveform_svg(mixtures))
-        export_bar_graph(hist, out / HISTOGRAM_CSV)
-        _write_svg(out / HISTOGRAM_SVG, svgplot.bar_graph_svg(hist))
-        csvio.write_estimated_matrix(out / MATRIX_CSV, est)
-        csvio.write_signals(out / SEPARATED_CSV, separated)
-        _write_svg(out / SEPARATED_SVG, svgplot.waveform_svg(separated))
-        csvio.write_report(out / REPORT_CSV, report)
+        out = _write_artifacts(
+            out_dir if out_dir is not None else cfg.output_dir,
+            sources=sources,
+            mixtures=mixtures,
+            estimate=(hist, est),
+            separated=separated,
+            report=report,
+        )
 
     if verbose:
         print(f"sources estimated: {est.n_sources}")

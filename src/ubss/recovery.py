@@ -10,8 +10,6 @@ column-normalized estimation model.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .estimation import EstimatedMatrix
@@ -19,47 +17,9 @@ from .estimation import EstimatedMatrix
 DEGENERATE_TOL = 1e-12
 
 
-class BasePair(NamedTuple):
-    """Indices of the two estimated columns selected for one sample."""
-
-    i: int
-    j: int
-
-
 def column_angles(est: EstimatedMatrix) -> np.ndarray:
     """Direction angle arctan(r) of every estimated column, in (-pi/2, pi/2)."""
     return np.arctan(est.ratios)
-
-
-def sample_angle(x1: float, x2: float) -> float:
-    """Direction angle of one mixture sample; x1 == 0 folds to pi/2."""
-    if x1 == 0.0 and x2 == 0.0:
-        raise ValueError("inactive sample: both mixture values are zero")
-    if x1 == 0.0:
-        return float(np.pi / 2)
-    return float(np.arctan(x2 / x1))
-
-
-def select_base_pair(theta_t: float, angles: np.ndarray) -> BasePair:
-    """The two column angles nearest theta_t, ties broken by lower index."""
-    a = np.asarray(angles, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError(f"base pair selection needs at least 2 column angles, got {a.size}")
-    order = np.argsort(np.abs(a - theta_t), kind="stable")
-    return BasePair(int(order[0]), int(order[1]))
-
-
-def solve_pair(est: EstimatedMatrix, pair: BasePair, x1: float, x2: float) -> np.ndarray:
-    """Solve x = [1 1; a_i a_j] [s_i; s_j] for one sample, zeros elsewhere."""
-    a = est.ratios
-    a_i, a_j = float(a[pair.i]), float(a[pair.j])
-    denom = a_j - a_i
-    if abs(denom) < DEGENERATE_TOL:
-        raise ValueError(f"degenerate pair: ratios {a_i} and {a_j} nearly coincide")
-    out = np.zeros(est.n_sources)
-    out[pair.i] = (a_j * x1 - x2) / denom
-    out[pair.j] = (x2 - a_i * x1) / denom
-    return out
 
 
 def separate(

@@ -104,13 +104,6 @@ def pulse_shape(spec: PulseSpec) -> np.ndarray:
     return spec.amplitude / peak * raw
 
 
-def gaussian_pulse(spec: PulseSpec, t_rel: int) -> float:
-    """Value of the pulse at integer offset t_rel, 0 <= t_rel < width."""
-    if not 0 <= t_rel < spec.width_samples:
-        raise ValueError(f"t_rel must lie in [0, {spec.width_samples}), got {t_rel}")
-    return float(pulse_shape(spec)[t_rel])
-
-
 def _check_hop_windows(windows, n_sources: int, n_chips: int) -> list[tuple[int, int]]:
     if len(windows) != n_sources:
         raise ValueError(f"expected {n_sources} hop windows, got {len(windows)}")

@@ -25,7 +25,7 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def waveform_svg(signals: np.ndarray, prefix: str = "ch") -> str:
+def waveform_svg(signals: np.ndarray) -> str:
     """One stacked panel per channel, all panels on a shared amplitude scale."""
     x = np.asarray(signals, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -50,7 +50,7 @@ def waveform_svg(signals: np.ndarray, prefix: str = "ch") -> str:
         body.append(f'<polyline points="{pts}" fill="none" stroke="#1f4e8c" stroke-width="1"/>')
         body.append(
             f'<text x="{_MARGIN}" y="{mid - half - 2:.2f}" font-size="11" '
-            f'fill="#333333">{prefix}{k + 1}</text>'
+            f'fill="#333333">ch{k + 1}</text>'
         )
     return _svg(_WIDTH, 2 * _MARGIN + n_channels * _PANEL_HEIGHT, body)
 

@@ -17,8 +17,12 @@ def test_signals_round_trip_is_exact(tmp_path):
     x[0, 0] = 0.1  # not exactly representable, must survive the trip
     x[1, 1] = 1e-300
     x[2, 2] = -12345678.90123456789
+    x[3] = [-0.0, 5e-324, 1e308]
     path = tmp_path / "signals.csv"
     write_signals(path, x)
+    # the row-by-row formatting the file layout is defined by
+    rows = ["ch1,ch2,ch3"] + [",".join(f"{v:.17g}" for v in row) for row in x]
+    assert path.read_text() == "\n".join(rows) + "\n"
     back = read_signals(path)
     assert back.shape == x.shape
     assert np.array_equal(back, x)
@@ -31,8 +35,6 @@ def test_signals_header_and_layout(tmp_path):
     assert lines[0] == "ch1,ch2"
     assert lines[1] == "1,2"
     assert len(lines) == 3
-    write_signals(path, np.array([[1.0]]), prefix="src")
-    assert path.read_text().splitlines()[0] == "src1"
 
 
 def test_write_signals_rejects_non_2d(tmp_path):
@@ -54,6 +56,10 @@ def test_read_signals_errors(tmp_path):
     path.write_text("ch1,ch2\n1.0,2.0\n3.0,oops\n")
     with pytest.raises(ValueError, match="row 3 has a non-numeric field"):
         read_signals(path)
+    for field in ("nan", "inf", "-inf"):
+        path.write_text(f"ch1,ch2\n1.0,2.0\n{field},1.0\n")
+        with pytest.raises(ValueError, match="row 3 has a non-finite field"):
+            read_signals(path)
 
 
 def test_estimated_matrix_round_trip(tmp_path):

@@ -72,7 +72,8 @@ def test_estimate_mixing_merge_consumes_each_bin_once():
             np.full(9, 1.8 + 2 * Q),
         ]
     )
-    est = estimate_mixing(build_histogram(ratios, Q), top_k=2)
+    est = estimate_mixing(build_histogram(ratios, Q), peak_fraction=0.5)
+    assert est.n_sources == 2
     got = sorted(est.ratios)
     assert got[0] == pytest.approx(1.8, abs=1e-12)
     assert got[1] == pytest.approx(1.8 + 2 * Q, abs=1e-12)
@@ -88,14 +89,8 @@ def test_estimate_mixing_peak_fraction_cutoff():
 
 def test_estimate_mixing_orders_by_count_then_ratio():
     ratios = np.concatenate([np.full(30, 0.7), np.full(100, 2.0), np.full(30, -1.1)])
-    est = estimate_mixing(build_histogram(ratios, Q), top_k=3)
+    est = estimate_mixing(build_histogram(ratios, Q), peak_fraction=0.3)
     assert list(est.ratios) == pytest.approx([2.0, -1.1, 0.7], abs=1e-12)
-
-
-def test_estimate_mixing_top_k_overrides_fraction():
-    ratios = np.concatenate([np.full(100, 2.0), np.full(50, 0.7), np.full(3, -1.1)])
-    est = estimate_mixing(build_histogram(ratios, Q), peak_fraction=0.9, top_k=3)
-    assert est.n_sources == 3
 
 
 def test_estimate_mixing_argument_validation():
@@ -104,8 +99,6 @@ def test_estimate_mixing_argument_validation():
         estimate_mixing(RatioHistogram(bins={}, quantum=Q, active_samples=0))
     with pytest.raises(ValueError, match="peak_fraction"):
         estimate_mixing(hist, peak_fraction=1.0)
-    with pytest.raises(ValueError, match="top_k"):
-        estimate_mixing(hist, top_k=0)
 
 
 def test_estimated_matrix_shape_and_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -207,3 +208,42 @@ def test_shipped_experiments_degrade_with_overlap():
     assert sorted(by_true_1) == sorted(by_true_2) == [0, 1, 2]
     for t in range(3):
         assert by_true_2[t] < by_true_1[t]
+
+
+# sha256 of every artifact `ubss run` writes for the shipped configs; a change
+# that alters a single artifact byte has to update these deliberately
+SHIPPED_DIGESTS = {
+    "experiment1": {
+        "estimated_matrix.csv": "cb6d359ce27383450e5e7583c8debf438fb31bafec3a6f8736769d4691351bbe",
+        "histogram.csv": "827417833482d26e99c2b4a2f6264f891bc410b2d2a1d00f6c98346e0e6c1fa9",
+        "histogram.svg": "49049ec82c4af2f5ef1f95a46238d7585dd573e02eacb1a534e481fa32d83753",
+        "mixtures.csv": "ef7ceaf40df9daf5451dc6eaabefee9944c5dc2c2c4468256ad4c36c94412639",
+        "mixtures.svg": "7afd20ec6e9f030145d158d613ebf04a9c825593f4c34f46660cf6d7ef0270f4",
+        "report.csv": "ff896b45ac7039fba6b37b398840ceebdb14587e0835ad97a88fd0cf434e0ea3",
+        "separated.csv": "216f4c25d655cd8e16802a93edfacb819a468b5bc6ebec7952fd3a6147310488",
+        "separated.svg": "c80e88e50c68edc5e5361214a233737961cb8d3e25ba9358b66bb77ddf1272c3",
+        "sources.csv": "a5289d8d5255e71aefbb382b69f2ac9b7363173d00a9006678b0431235a43aca",
+        "sources.svg": "b8333ab136b60a66ec78b5c1fc0647abb6c8dddf795745991dd5c2d2f50a2903",
+    },
+    "experiment2": {
+        "estimated_matrix.csv": "461233d9888ecb2d33c22b66f6c9ea52eabb711a9d35d0f5d2c965613d4b14de",
+        "histogram.csv": "070edcf2c74bacc3453ab9848ff6db6a68fe08dc79d09933c039cfcc0b03fde3",
+        "histogram.svg": "33381c90c1f28c104c128a8aa4b126c5f333edf1181d8855d65c2bef39a2304d",
+        "mixtures.csv": "e4b20b24926f70baad1d028ce60d37f50120a225afad1d088179a2572b5c159b",
+        "mixtures.svg": "fa140590847e3a6611949494baab35ba0d9c5034d00a57cbd17c338b4dac45a4",
+        "report.csv": "f372445d505800ad3f7fab2f79182308c5b259cb1f9382e6a60202967aefb6ee",
+        "separated.csv": "0f9060498d37f61721d27efc25d4bbdf437cf9e8e07f0045d2f86f049d617ac8",
+        "separated.svg": "8c53e763facc96c89fe7e3562e9bb65e8b392119ab2e94f541d09ec084e3bf06",
+        "sources.csv": "43c4aced374bf54937fa7e14790c94b00dc714a22f14a1577928ebb9310958d2",
+        "sources.svg": "21f34167de39f1c9a291f45cabfbec1c55353ed86920da03816c90fc44b93bdd",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_configs_reproduce_reference_artifacts(tmp_path, name):
+    run_experiment(load_config(CONFIGS_DIR / f"{name}.cfg"), out_dir=tmp_path, verbose=False)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ARTIFACTS)
+    for artifact, digest in SHIPPED_DIGESTS[name].items():
+        got = hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        assert got == digest, f"{name}/{artifact}"

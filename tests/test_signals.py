@@ -4,7 +4,6 @@ import pytest
 from ubss import (
     PulseSpec,
     ThUwbConfig,
-    gaussian_pulse,
     generate_sources,
     mix,
     pulse_shape,
@@ -49,17 +48,6 @@ def test_pulse_shape_order2_center_trough():
     assert shape[80] == pytest.approx(-1.0, rel=1e-15)
     assert np.allclose(shape, shape[::-1])
     assert np.max(shape) > 0.0
-
-
-def test_gaussian_pulse_indexing():
-    spec = PulseSpec(order=0, width_samples=21)
-    shape = pulse_shape(spec)
-    assert gaussian_pulse(spec, 0) == shape[0]
-    assert gaussian_pulse(spec, 20) == shape[20]
-    with pytest.raises(ValueError, match="t_rel"):
-        gaussian_pulse(spec, 21)
-    with pytest.raises(ValueError, match="t_rel"):
-        gaussian_pulse(spec, -1)
 
 
 def test_th_uwb_config_validation():
