@@ -73,6 +73,14 @@ def resolve_mixing(cfg: ExperimentConfig) -> np.ndarray:
     return random_mixing(cfg.th_uwb.n_sources, cfg.mixing_rows, seed)
 
 
+def _ratio_mixing(cfg: ExperimentConfig) -> np.ndarray:
+    """The mixing matrix, checked for the two-channel ratio model that estimates it."""
+    mixing = validate_mixing_matrix(resolve_mixing(cfg), ratio_model=True)
+    if mixing.shape[0] != 2:
+        raise ValueError(f"estimation requires exactly 2 mixture channels, got {mixing.shape[0]}")
+    return mixing
+
+
 def build_sources(cfg: ExperimentConfig) -> np.ndarray:
     windows = hop_windows_for_mode(
         cfg.overlap_mode, cfg.th_uwb.n_sources, cfg.th_uwb.n_chips
@@ -133,8 +141,8 @@ def stage_generate(cfg: ExperimentConfig, out_dir) -> np.ndarray:
 
 
 def stage_mix(cfg: ExperimentConfig, sources_path, out_dir) -> np.ndarray:
-    sources = csvio.read_signals(sources_path)
-    mixtures = mix(sources, validate_mixing_matrix(resolve_mixing(cfg)))
+    mixing = _ratio_mixing(cfg)
+    mixtures = mix(csvio.read_signals(sources_path), mixing)
     _write_artifacts(out_dir, mixtures=mixtures)
     return mixtures
 
@@ -172,12 +180,7 @@ def run_experiment(
     write_files=False keeps everything in memory, for callers that only need
     the numbers.
     """
-    mixing = validate_mixing_matrix(resolve_mixing(cfg), ratio_model=True)
-    if mixing.shape[0] != 2:
-        raise ValueError(
-            f"estimation requires exactly 2 mixture channels, got {mixing.shape[0]}"
-        )
-
+    mixing = _ratio_mixing(cfg)
     sources = build_sources(cfg)
     mixtures = mix(sources, mixing)
     eps, hist, est = _estimate(cfg, mixtures)

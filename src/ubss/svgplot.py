@@ -1,13 +1,14 @@
 """Minimal SVG renderings of waveforms and ratio histograms.
 
 Plain polyline and rect markup, fixed viewBox, no external assets.  Output is
-deterministic for identical inputs.
+deterministic for identical inputs; each distinct coordinate is formatted once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .csvio import _format_each
 from .estimation import RatioHistogram
 
 _WIDTH = 900
@@ -36,17 +37,17 @@ def waveform_svg(signals: np.ndarray) -> str:
         peak = 1.0
     plot_w = _WIDTH - 2 * _MARGIN
     half = (_PANEL_HEIGHT - 10) / 2.0
+    mids = _MARGIN + np.arange(n_channels) * _PANEL_HEIGHT + _PANEL_HEIGHT / 2.0
+    t = np.arange(n_samples)
+    xs = ["%.2f," % v for v in (_MARGIN + plot_w * t / (n_samples - 1)).tolist()]
+    ys = _format_each(mids - half * x / peak, "%.2f").T.tolist()
     body = []
-    for k in range(n_channels):
-        mid = _MARGIN + k * _PANEL_HEIGHT + _PANEL_HEIGHT / 2.0
+    for k, mid in enumerate(mids.tolist()):
         body.append(
             f'<line x1="{_MARGIN}" y1="{mid:.2f}" x2="{_WIDTH - _MARGIN}" y2="{mid:.2f}" '
             f'stroke="#bbbbbb" stroke-width="1"/>'
         )
-        pts = " ".join(
-            f"{_MARGIN + plot_w * t / (n_samples - 1):.2f},{mid - half * x[t, k] / peak:.2f}"
-            for t in range(n_samples)
-        )
+        pts = " ".join(map(str.__add__, xs, ys[k]))
         body.append(f'<polyline points="{pts}" fill="none" stroke="#1f4e8c" stroke-width="1"/>')
         body.append(
             f'<text x="{_MARGIN}" y="{mid - half - 2:.2f}" font-size="11" '

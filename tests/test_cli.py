@@ -130,6 +130,19 @@ def test_single_channel_setup_is_rejected(tmp_path, capsys):
     assert "estimation requires exactly 2 mixture channels" in capsys.readouterr().err
 
 
+def test_mix_refuses_the_matrix_run_refuses(tmp_path, capsys):
+    text = BASE_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "0.4 0.0 0.3 ; 0.8 0.1 0.5")
+    cfg = _write_cfg(tmp_path, text)
+    assert main(["run", cfg]) == 1
+    run_err = capsys.readouterr().err
+    assert "column 1 has a zero first entry" in run_err
+    assert main(["generate", cfg]) == 0
+    assert main(["mix", cfg]) == 1
+    mix_err = capsys.readouterr().err
+    assert mix_err.removeprefix("ubss mix: ") == run_err.removeprefix("ubss run: ")
+    assert not (tmp_path / "out" / pipeline.MIXTURES_CSV).exists()
+
+
 def test_degenerate_estimated_matrix_is_rejected(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["generate", cfg]) == 0

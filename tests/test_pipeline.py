@@ -138,18 +138,24 @@ def test_stage_chain_reproduces_run_bytes(tmp_path):
         assert a == b, name
 
 
-def test_identity_mixing_copies_sources(tmp_path):
+def test_stage_mix_refuses_what_run_refuses(tmp_path):
     th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=2, seed=5)
     cfg = _cfg(
         tmp_path / "out",
         th_uwb=th,
         pulses=[PulseSpec(order=0, width_samples=10), PulseSpec(order=1, width_samples=10)],
-        mixing=np.eye(2),
+        mixing=np.eye(2),  # zero first entry in column 1: outside the ratio model
     )
     out = tmp_path / "out"
     stage_generate(cfg, out)
-    stage_mix(cfg, out / pipeline.SOURCES_CSV, out)
-    assert (out / pipeline.MIXTURES_CSV).read_bytes() == (out / pipeline.SOURCES_CSV).read_bytes()
+    three_rows = _cfg(out, mixing=np.vstack([_cfg(out).mixing, [0.2, 0.9, 0.7]]))
+    for bad, message in ((cfg, "column 1 has a zero first entry"),
+                         (three_rows, "exactly 2 mixture channels, got 3")):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(bad, write_files=False, verbose=False)
+        with pytest.raises(ValueError, match=message):
+            stage_mix(bad, out / pipeline.SOURCES_CSV, out)
+    assert not (out / pipeline.MIXTURES_CSV).exists()
 
 
 def test_resolve_mixing_fallbacks(tmp_path):
