@@ -23,9 +23,10 @@ Config files are flat key-value text with section headers, for example:
     output_dir = out/exp1
 
 Matrix rows are separated by semicolons, entries by whitespace.  The matrix
-value "random" draws a reproducible matrix instead (optional keys: rows,
-seed).  activity_eps may be set to an absolute threshold; by default every
-stage derives it as 1e-6 times the largest |x1| it sees.
+value "random" draws a reproducible matrix instead (optional key: seed).
+Unknown sections and keys are refused.  activity_eps may be set to an
+absolute threshold; by default every stage derives it as 1e-6 times the
+largest |x1| it sees.
 """
 
 from __future__ import annotations
@@ -58,16 +59,23 @@ class OverlapMode(enum.Enum):
 class ExperimentConfig:
     th_uwb: ThUwbConfig
     pulses: list[PulseSpec]
-    mixing: np.ndarray | None
+    mixing: np.ndarray
     overlap_mode: OverlapMode
     output_dir: Path
-    mixing_rows: int = 2
-    mixing_seed: int | None = None
     quantum: float = DEFAULT_QUANTUM
     peak_fraction: float = DEFAULT_PEAK_FRACTION
     activity_eps: float | None = None
 
     def __post_init__(self) -> None:
+        try:
+            self.mixing = validate_mixing_matrix(self.mixing)
+        except ValueError as exc:
+            raise ConfigError(f"[mixing] matrix: {exc}") from None
+        if self.mixing.shape[1] != self.th_uwb.n_sources:
+            raise ConfigError(
+                f"[mixing] matrix has {self.mixing.shape[1]} columns"
+                f" for {self.th_uwb.n_sources} sources"
+            )
         if not self.quantum > 0.0:
             raise ConfigError(f"quantum must be positive, got {self.quantum}")
         if not 0.0 < self.peak_fraction < 1.0:
@@ -110,7 +118,7 @@ def random_mixing(n_sources: int, rows: int, seed: int) -> np.ndarray:
 
     Entries are uniform in [0.1, 1.0); columns are redrawn until all pairwise
     first-row-normalized ratios differ by at least 0.05, keeping the ratio
-    histogram modes distinguishable.
+    histogram modes distinguishable; such a draw is a valid mixing matrix.
     """
     if rows < 2:
         raise ConfigError(f"a mixing matrix needs at least 2 rows, got {rows}")
@@ -127,7 +135,7 @@ def random_mixing(n_sources: int, rows: int, seed: int) -> np.ndarray:
             if bad is not None:
                 break
         if bad is None:
-            return validate_mixing_matrix(a, ratio_model=True)
+            return a
         a[:, bad] = rng.uniform(0.1, 1.0, size=rows)
     raise ConfigError("could not draw a mixing matrix with separated column ratios")
 
@@ -147,6 +155,15 @@ def parse_matrix(text: str) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise ConfigError("matrix rows have unequal lengths")
     return np.array(rows)
+
+
+_KNOWN_KEYS = {
+    "signal": {"chip_len", "frame_len", "total_len", "n_sources", "seed", "occupancy",
+               "pulse_orders", "pulse_amplitudes"},
+    "mixing": {"matrix", "seed"},
+    "estimation": {"quantum", "peak_fraction", "activity_eps"},
+    "run": {"overlap_mode", "output_dir"},
+}
 
 
 def _get(section, key, cast, default=None, required=False):
@@ -180,6 +197,14 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
 
+    unknown = [f"[{name}]" for name in parser.sections() if name not in _KNOWN_KEYS]
+    unknown += [
+        f"[{name}] {key}"
+        for name, known in _KNOWN_KEYS.items() if name in parser
+        for key in parser[name] if key not in known
+    ]
+    if unknown:
+        raise ConfigError(f"config {path} has unknown entries: {', '.join(unknown)}")
     for name in ("signal", "run"):
         if name not in parser:
             raise ConfigError(f"config {path} is missing the [{name}] section")
@@ -211,23 +236,16 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"[signal]: {exc}") from None
 
-    mixing = None
-    mixing_rows = 2
-    mixing_seed = None
-    if "mixing" in parser:
-        mx = parser["mixing"]
-        raw = mx.get("matrix", "random").strip()
-        mixing_rows = _get(mx, "rows", int, default=2)
-        mixing_seed = _get(mx, "seed", int, default=None)
-        if raw.lower() != "random":
-            try:
-                mixing = validate_mixing_matrix(parse_matrix(raw))
-            except ValueError as exc:
-                raise ConfigError(f"[mixing] matrix: {exc}") from None
-            if mixing.shape[1] != th.n_sources:
-                raise ConfigError(
-                    f"[mixing] matrix has {mixing.shape[1]} columns for {th.n_sources} sources"
-                )
+    mx = parser["mixing"] if "mixing" in parser else {}
+    raw = mx.get("matrix", "random").strip()
+    draw_seed = _get(mx, "seed", int, default=seed)
+    if raw.lower() == "random":
+        mixing = random_mixing(th.n_sources, 2, draw_seed)
+    else:
+        try:
+            mixing = parse_matrix(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"[mixing] matrix: {exc}") from None
 
     est = parser["estimation"] if "estimation" in parser else {}
 
@@ -246,8 +264,6 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         mixing=mixing,
         overlap_mode=mode,
         output_dir=out_dir,
-        mixing_rows=mixing_rows,
-        mixing_seed=mixing_seed,
         quantum=_get(est, "quantum", float, default=DEFAULT_QUANTUM),
         peak_fraction=_get(est, "peak_fraction", float, default=DEFAULT_PEAK_FRACTION),
         activity_eps=_get(est, "activity_eps", float),

@@ -15,12 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio, svgplot
-from .config import (
-    ExperimentConfig,
-    default_activity_eps,
-    hop_windows_for_mode,
-    random_mixing,
-)
+from .config import ExperimentConfig, default_activity_eps, hop_windows_for_mode
 from .estimation import (
     EstimatedMatrix,
     RatioHistogram,
@@ -36,7 +31,7 @@ from .evaluation import (
     max_simultaneous_sources,
 )
 from .recovery import separate
-from .signals import generate_sources, mix, validate_mixing_matrix
+from .signals import generate_sources, mix
 
 SOURCES_CSV = "sources.csv"
 MIXTURES_CSV = "mixtures.csv"
@@ -64,21 +59,6 @@ class ExperimentResult:
     wrong_pair_count: int
     max_simultaneous: int
     output_dir: Path | None
-
-
-def resolve_mixing(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.mixing is not None:
-        return cfg.mixing
-    seed = cfg.mixing_seed if cfg.mixing_seed is not None else cfg.th_uwb.seed
-    return random_mixing(cfg.th_uwb.n_sources, cfg.mixing_rows, seed)
-
-
-def _ratio_mixing(cfg: ExperimentConfig) -> np.ndarray:
-    """The mixing matrix, checked for the two-channel ratio model that estimates it."""
-    mixing = validate_mixing_matrix(resolve_mixing(cfg), ratio_model=True)
-    if mixing.shape[0] != 2:
-        raise ValueError(f"estimation requires exactly 2 mixture channels, got {mixing.shape[0]}")
-    return mixing
 
 
 def build_sources(cfg: ExperimentConfig) -> np.ndarray:
@@ -141,8 +121,7 @@ def stage_generate(cfg: ExperimentConfig, out_dir) -> np.ndarray:
 
 
 def stage_mix(cfg: ExperimentConfig, sources_path, out_dir) -> np.ndarray:
-    mixing = _ratio_mixing(cfg)
-    mixtures = mix(csvio.read_signals(sources_path), mixing)
+    mixtures = mix(csvio.read_signals(sources_path), cfg.mixing)
     _write_artifacts(out_dir, mixtures=mixtures)
     return mixtures
 
@@ -180,9 +159,8 @@ def run_experiment(
     write_files=False keeps everything in memory, for callers that only need
     the numbers.
     """
-    mixing = _ratio_mixing(cfg)
     sources = build_sources(cfg)
-    mixtures = mix(sources, mixing)
+    mixtures = mix(sources, cfg.mixing)
     eps, hist, est = _estimate(cfg, mixtures)
     separated, pairs = separate(mixtures, est, eps, return_pairs=True)
     report = align_and_score(sources, separated)
@@ -213,7 +191,7 @@ def run_experiment(
 
     return ExperimentResult(
         sources=sources,
-        mixing=mixing,
+        mixing=cfg.mixing,
         mixtures=mixtures,
         activity_eps=eps,
         histogram=hist,

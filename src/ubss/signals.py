@@ -180,16 +180,18 @@ def mix(sources: np.ndarray, mixing: np.ndarray) -> np.ndarray:
     return s @ a.T
 
 
-def validate_mixing_matrix(mixing: np.ndarray, ratio_model: bool = False) -> np.ndarray:
-    """Check a mixing matrix: finite entries, no zero or parallel columns.
+def validate_mixing_matrix(mixing: np.ndarray) -> np.ndarray:
+    """Check a mixing matrix against the two-channel ratio model.
 
-    With ratio_model=True additionally require a nonzero first row, which the
-    two-channel ratio estimation model needs (columns are normalized by their
-    first entry).
+    The ratio estimation reads each column off x2/x1, so the matrix must be
+    2 x N with finite entries, no zero or parallel columns, and a nonzero
+    first row (columns are normalized by their first entry).
     """
     a = np.asarray(mixing, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"mixing matrix must be 2-D and non-empty, got shape {a.shape}")
+    if a.shape[0] != 2:
+        raise ValueError(f"estimation requires exactly 2 mixture channels, got {a.shape[0]}")
     if not np.all(np.isfinite(a)):
         raise ValueError("mixing matrix entries must be finite")
     norms = np.linalg.norm(a, axis=0)
@@ -201,7 +203,7 @@ def validate_mixing_matrix(mixing: np.ndarray, ratio_model: bool = False) -> np.
         for j in range(i + 1, n):
             if abs(abs(float(unit[:, i] @ unit[:, j])) - 1.0) < 1e-12:
                 raise ValueError(f"mixing matrix columns {i} and {j} are parallel")
-    if ratio_model and np.any(a[0] == 0.0):
+    if np.any(a[0] == 0.0):
         bad = int(np.flatnonzero(a[0] == 0.0)[0])
         raise ValueError(f"column {bad} has a zero first entry; ratio estimation needs a[0,:] != 0")
     return a

@@ -136,11 +136,35 @@ def test_mix_refuses_the_matrix_run_refuses(tmp_path, capsys):
     assert main(["run", cfg]) == 1
     run_err = capsys.readouterr().err
     assert "column 1 has a zero first entry" in run_err
-    assert main(["generate", cfg]) == 0
-    assert main(["mix", cfg]) == 1
-    mix_err = capsys.readouterr().err
-    assert mix_err.removeprefix("ubss mix: ") == run_err.removeprefix("ubss run: ")
-    assert not (tmp_path / "out" / pipeline.MIXTURES_CSV).exists()
+    for command in ("generate", "mix"):
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.removeprefix(f"ubss {command}: ") == run_err.removeprefix("ubss run: ")
+    assert not (tmp_path / "out").exists()
+
+
+COMMANDS = ("run", "generate", "mix", "estimate", "separate", "score")
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ("0.4 0.0 0.3 ; 0.8 0.1 0.5",
+         "[mixing] matrix: column 1 has a zero first entry; ratio estimation needs a[0,:] != 0"),
+        ("0.4 0.6 0.3 ; 0.8 0.1 0.5 ; 0.2 0.9 0.7",
+         "[mixing] matrix: estimation requires exactly 2 mixture channels, got 3"),
+        ("0.4 0.6 0.3 0.9 ; 0.8 0.1 0.5 0.2", "[mixing] matrix has 4 columns for 3 sources"),
+    ],
+    ids=["zero-first-row", "three-rows", "column-count"],
+)
+def test_every_command_refuses_the_matrix_at_load(tmp_path, capsys, matrix, message):
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", matrix))
+    for command in COMMANDS:
+        assert main([command, cfg]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"ubss {command}: ")
+        assert err.removeprefix(f"ubss {command}: ") == message + "\n", command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def test_degenerate_estimated_matrix_is_rejected(tmp_path, capsys):

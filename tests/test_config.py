@@ -1,9 +1,17 @@
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubss import (
     ConfigError,
+    ExperimentConfig,
     OverlapMode,
+    PulseSpec,
+    ThUwbConfig,
     default_activity_eps,
     hop_windows_for_mode,
     load_config,
@@ -78,13 +86,51 @@ def test_load_config_defaults(tmp_path):
     assert cfg.th_uwb.occupancy == 1.0
     assert [p.order for p in cfg.pulses] == [0, 1, 2]
     assert [p.amplitude for p in cfg.pulses] == [1.0, 1.0, 1.0]
-    assert cfg.mixing is None
-    assert cfg.mixing_rows == 2
-    assert cfg.mixing_seed is None
+    # without a [mixing] section the matrix is drawn from the signal seed
+    assert cfg.mixing.shape == (2, 3)
+    assert np.array_equal(cfg.mixing, random_mixing(3, 2, 7))
     assert cfg.quantum == 1e-4
     assert cfg.peak_fraction == 0.1
     assert cfg.activity_eps is None
     assert cfg.overlap_mode is OverlapMode.AT_MOST_TWO
+
+
+def test_load_config_random_matrix(tmp_path):
+    # the [mixing] seed drives the draw; without it, the signal seed after any override
+    random_cfg = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "random")
+    path = _write(tmp_path, random_cfg, "random.cfg")
+    assert np.array_equal(load_config(path).mixing, random_mixing(3, 2, 11))
+    assert np.array_equal(load_config(path, seed_override=42).mixing, random_mixing(3, 2, 42))
+    seeded = _write(tmp_path, random_cfg.replace("matrix = random", "matrix = random\nseed = 17"))
+    a = load_config(seeded).mixing
+    # pinned bits: a changed draw would change every run of a random-matrix config
+    assert a.tolist() == [
+        [0.4723707489464136, 0.9621152410228727, 0.3109682208504019],
+        [0.21451959622331696, 0.9311249621473774, 0.42149292582642595],
+    ]
+    assert np.array_equal(a, random_mixing(3, 2, 17))
+    assert np.array_equal(load_config(seeded, seed_override=42).mixing, a)
+    assert not np.array_equal(a, random_mixing(3, 2, 11))
+    bad = random_cfg.replace("matrix = random", "matrix = random\nseed = many")
+    with pytest.raises(ConfigError, match=r"\[mixing\] seed = 'many'"):
+        load_config(_write(tmp_path, bad))
+
+
+def test_load_config_refuses_unknown_entries(tmp_path):
+    typo = FULL_CFG.replace("peak_fraction = 0.2", "peak_fracton = 0.5")
+    with pytest.raises(ConfigError, match=r"unknown entries: \[estimation\] peak_fracton$"):
+        load_config(_write(tmp_path, typo))
+    retired = FULL_CFG.replace("0.8 0.1 0.5\n", "0.8 0.1 0.5\nrows = 2\n")
+    with pytest.raises(ConfigError, match=r"unknown entries: \[mixing\] rows$"):
+        load_config(_write(tmp_path, retired))
+    extra = MINIMAL_CFG + "verbose = yes\n\n[plots]\nwidth = 3\n"
+    with pytest.raises(ConfigError, match=r"unknown entries: \[plots\], \[run\] verbose$"):
+        load_config(_write(tmp_path, extra))
+    # FULL_CFG plus a [mixing] seed holds every key the loader reads; the seed
+    # is known next to an explicit matrix too, and leaves that matrix alone
+    every_key = FULL_CFG.replace("0.8 0.1 0.5\n", "0.8 0.1 0.5\nseed = 3\n")
+    cfg = load_config(_write(tmp_path, every_key))
+    assert np.array_equal(cfg.mixing, [[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
 
 
 def test_load_config_seed_override(tmp_path):
@@ -129,6 +175,16 @@ def test_load_config_matrix_errors(tmp_path):
         load_config(_write(tmp_path, bad))
     bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "1 2 4 ; 2 4 8")
     with pytest.raises(ConfigError, match=r"\[mixing\] matrix: .*parallel"):
+        load_config(_write(tmp_path, bad))
+    # the ratio model's rules are refused at load, not first at run
+    bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "0.4 0.0 0.3 ; 0.8 0.1 0.5")
+    with pytest.raises(ConfigError, match=r"\[mixing\] matrix: column 1 has a zero first entry"):
+        load_config(_write(tmp_path, bad))
+    bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "0.4 0.6 0.3 ; 0.8 0.1 0.5 ; 0.2 0.9 0.7")
+    with pytest.raises(ConfigError, match="exactly 2 mixture channels, got 3"):
+        load_config(_write(tmp_path, bad))
+    bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "0.4 x ; 0.8 0.1")
+    with pytest.raises(ConfigError, match=r"\[mixing\] matrix: matrix row 1"):
         load_config(_write(tmp_path, bad))
 
 
@@ -207,3 +263,87 @@ def test_default_activity_eps():
     assert default_activity_eps(x1) == pytest.approx(2e-6, rel=1e-12)
     with pytest.raises(ValueError, match="all-zero channel"):
         default_activity_eps(np.zeros(5))
+
+
+def _three_site_validate(mixing, ratio_model=False):
+    """The mixing-matrix check as it stood when three sites ran it under two rules."""
+    a = np.asarray(mixing, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError(f"mixing matrix must be 2-D and non-empty, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("mixing matrix entries must be finite")
+    norms = np.linalg.norm(a, axis=0)
+    if np.any(norms == 0.0):
+        raise ValueError("mixing matrix has an all-zero column")
+    unit = a / norms
+    n = a.shape[1]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(abs(float(unit[:, i] @ unit[:, j])) - 1.0) < 1e-12:
+                raise ValueError(f"mixing matrix columns {i} and {j} are parallel")
+    if ratio_model and np.any(a[0] == 0.0):
+        bad = int(np.flatnonzero(a[0] == 0.0)[0])
+        raise ValueError(f"column {bad} has a zero first entry; ratio estimation needs a[0,:] != 0")
+    return a
+
+
+def _three_site_messages(a, n_sources):
+    """The message of each check the old path ran before run_experiment accepted a matrix.
+
+    Load ran the plain check and the column count; run_experiment and stage_mix
+    then ran the ratio-model check and the two-row rule.  Empty when all pass.
+    """
+
+    def column_count(a):
+        if a.shape[1] != n_sources:
+            raise ValueError(f"[mixing] matrix has {a.shape[1]} columns for {n_sources} sources")
+
+    def two_rows(a):
+        if a.shape[0] != 2:
+            raise ValueError(f"estimation requires exactly 2 mixture channels, got {a.shape[0]}")
+
+    messages = []
+    ratio_model = partial(_three_site_validate, ratio_model=True)
+    for check in (_three_site_validate, column_count, ratio_model, two_rows):
+        try:
+            check(a)
+        except ValueError as exc:
+            messages.append(str(exc))
+    return messages
+
+
+@st.composite
+def mixing_cases(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    # non-finite entries are rare, or they would hide every later rule
+    entries = st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0] * 6 + [np.inf, np.nan])
+    a = np.array(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                min_size=rows, max_size=rows)))
+    for j in range(1, cols):
+        if draw(st.booleans()):  # an exact multiple of an earlier column
+            a[:, j] = draw(st.sampled_from([-2.0, 0.5, 3.0])) * a[:, draw(st.integers(0, j - 1))]
+    n_sources = draw(st.sampled_from([cols, cols, max(1, cols - 1), cols + 1]))
+    return a, n_sources
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=mixing_cases())
+def test_experiment_config_matches_the_three_site_oracle(case):
+    a, n_sources = case
+    expected = _three_site_messages(a, n_sources)
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=n_sources, seed=0)
+    fields = dict(
+        th_uwb=th,
+        pulses=[PulseSpec(order=0, width_samples=10)] * n_sources,
+        mixing=a.copy(),
+        overlap_mode=OverlapMode.AT_MOST_TWO,
+        output_dir=Path("unused"),
+    )
+    if not expected:
+        assert np.array_equal(ExperimentConfig(**fields).mixing, a)
+        return
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**fields)
+    # the two-row rule now runs before the entry rules, so where several rules
+    # fail the message may name another one than the old path's first
+    assert any(m in str(info.value) for m in expected), (str(info.value), expected)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ubss import (
+    ConfigError,
     ExperimentConfig,
     OverlapMode,
     PulseSpec,
@@ -17,7 +18,6 @@ from ubss import (
 from ubss import pipeline
 from ubss.pipeline import (
     build_sources,
-    resolve_mixing,
     run_experiment,
     stage_estimate,
     stage_generate,
@@ -104,23 +104,21 @@ def test_run_experiment_out_dir_overrides_config(tmp_path):
 
 
 def test_run_experiment_needs_two_rows(tmp_path):
-    cfg = _cfg(
-        tmp_path / "out",
-        th_uwb=ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=1, seed=0),
-        pulses=[PulseSpec(order=0, width_samples=10)],
-        mixing=np.array([[0.5]]),
-    )
-    with pytest.raises(ValueError, match="estimation requires exactly 2 mixture channels"):
-        run_experiment(cfg, write_files=False, verbose=False)
-    cfg = _cfg(tmp_path / "out", mixing=np.vstack([_cfg(tmp_path).mixing, [0.2, 0.9, 0.7]]))
-    with pytest.raises(ValueError, match="exactly 2 mixture channels, got 3"):
-        run_experiment(cfg, write_files=False, verbose=False)
+    # the config that run_experiment would need cannot even be built
+    with pytest.raises(ConfigError, match="estimation requires exactly 2 mixture channels, got 1"):
+        _cfg(
+            tmp_path / "out",
+            th_uwb=ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=1, seed=0),
+            pulses=[PulseSpec(order=0, width_samples=10)],
+            mixing=np.array([[0.5]]),
+        )
+    with pytest.raises(ConfigError, match="exactly 2 mixture channels, got 3"):
+        _cfg(tmp_path / "out", mixing=np.vstack([_cfg(tmp_path).mixing, [0.2, 0.9, 0.7]]))
 
 
 def test_run_experiment_rejects_zero_first_row_entry(tmp_path):
-    cfg = _cfg(tmp_path / "out", mixing=np.array([[0.4, 0.0, 0.3], [0.8, 0.1, 0.5]]))
-    with pytest.raises(ValueError, match="zero first entry"):
-        run_experiment(cfg, write_files=False, verbose=False)
+    with pytest.raises(ConfigError, match="zero first entry"):
+        _cfg(tmp_path / "out", mixing=np.array([[0.4, 0.0, 0.3], [0.8, 0.1, 0.5]]))
 
 
 def test_stage_chain_reproduces_run_bytes(tmp_path):
@@ -139,35 +137,27 @@ def test_stage_chain_reproduces_run_bytes(tmp_path):
 
 
 def test_stage_mix_refuses_what_run_refuses(tmp_path):
+    # run_experiment and every stage take an ExperimentConfig, so a matrix
+    # outside the ratio model is refused before any stage can run
     th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=2, seed=5)
-    cfg = _cfg(
-        tmp_path / "out",
-        th_uwb=th,
-        pulses=[PulseSpec(order=0, width_samples=10), PulseSpec(order=1, width_samples=10)],
-        mixing=np.eye(2),  # zero first entry in column 1: outside the ratio model
-    )
-    out = tmp_path / "out"
-    stage_generate(cfg, out)
-    three_rows = _cfg(out, mixing=np.vstack([_cfg(out).mixing, [0.2, 0.9, 0.7]]))
-    for bad, message in ((cfg, "column 1 has a zero first entry"),
-                         (three_rows, "exactly 2 mixture channels, got 3")):
-        with pytest.raises(ValueError, match=message):
-            run_experiment(bad, write_files=False, verbose=False)
-        with pytest.raises(ValueError, match=message):
-            stage_mix(bad, out / pipeline.SOURCES_CSV, out)
-    assert not (out / pipeline.MIXTURES_CSV).exists()
-
-
-def test_resolve_mixing_fallbacks(tmp_path):
-    explicit = _cfg(tmp_path)
-    assert resolve_mixing(explicit) is explicit.mixing
-    drawn = _cfg(tmp_path, mixing=None, mixing_seed=17)
-    a = resolve_mixing(drawn)
-    assert a.shape == (2, 3)
-    assert np.array_equal(a, resolve_mixing(drawn))
-    # without mixing_seed the signal seed drives the draw
-    by_signal_seed = _cfg(tmp_path, mixing=None, seed=17)
-    assert np.array_equal(a, resolve_mixing(by_signal_seed))
+    two = [PulseSpec(order=0, width_samples=10), PulseSpec(order=1, width_samples=10)]
+    three_rows = np.vstack([_cfg(tmp_path).mixing, [0.2, 0.9, 0.7]])
+    for bad, message in (
+        # zero first entry in column 1: outside the ratio model
+        (dict(th_uwb=th, pulses=two, mixing=np.eye(2)), "column 1 has a zero first entry"),
+        (dict(mixing=three_rows), "exactly 2 mixture channels, got 3"),
+        (dict(mixing=np.array([[0.4, 0.6, 0.3, 0.9], [0.8, 0.1, 0.5, 0.2]])),
+         "4 columns for 3 sources"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            _cfg(tmp_path / "out", **bad)
+    assert not (tmp_path / "out").exists()
+    # the accepted matrix is the validated float array both paths mix with
+    cfg = _cfg(tmp_path / "out", mixing=[[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
+    assert cfg.mixing.dtype == float and cfg.mixing.shape == (2, 3)
+    sources = stage_generate(cfg, tmp_path / "out")
+    mixtures = stage_mix(cfg, tmp_path / "out" / pipeline.SOURCES_CSV, tmp_path / "out")
+    assert np.array_equal(mixtures, sources @ cfg.mixing.T)
 
 
 def test_build_sources_honors_overlap_mode(tmp_path):

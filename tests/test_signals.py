@@ -163,7 +163,16 @@ def test_validate_mixing_matrix():
     with pytest.raises(ValueError, match="parallel"):
         validate_mixing_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(ValueError, match="zero first entry"):
-        validate_mixing_matrix(np.array([[1.0, 0.0], [1.0, 2.0]]), ratio_model=True)
+        validate_mixing_matrix(np.array([[1.0, 0.0], [1.0, 2.0]]))
+    # the ratio model reads x2/x1: exactly two rows, checked before the entries
+    with pytest.raises(ValueError, match="exactly 2 mixture channels, got 1"):
+        validate_mixing_matrix(np.array([[0.4, 0.6, 0.3]]))
+    with pytest.raises(ValueError, match="exactly 2 mixture channels, got 3"):
+        validate_mixing_matrix(np.vstack([a, [0.2, 0.9, np.nan]]))
+    with pytest.raises(ValueError, match="2-D and non-empty"):
+        validate_mixing_matrix(np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="2-D and non-empty"):
+        validate_mixing_matrix(np.array([0.4, 0.8]))
     # anti-parallel columns are parallel too
     with pytest.raises(ValueError, match="parallel"):
         validate_mixing_matrix(np.array([[1.0, -1.0], [2.0, -2.0]]))
