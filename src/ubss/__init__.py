@@ -12,9 +12,7 @@ exactly, all other sources being zero at that sample.
 from .config import (
     ConfigError,
     ExperimentConfig,
-    OverlapMode,
     default_activity_eps,
-    hop_windows_for_mode,
     load_config,
     random_mixing,
 )
@@ -36,6 +34,7 @@ from .evaluation import (
 from .pipeline import ExperimentResult, run_experiment
 from .recovery import column_angles, separate
 from .signals import (
+    OverlapMode,
     PulseSpec,
     ThUwbConfig,
     generate_sources,
@@ -66,7 +65,6 @@ __all__ = [
     "estimate_mixing",
     "export_bar_graph",
     "generate_sources",
-    "hop_windows_for_mode",
     "load_config",
     "max_simultaneous_sources",
     "mix",

@@ -24,21 +24,22 @@ Config files are flat key-value text with section headers, for example:
 
 Matrix rows are separated by semicolons, entries by whitespace.  The matrix
 value "random" draws a reproducible matrix instead (optional key: seed).
-Unknown sections and keys are refused.  activity_eps may be set to an
-absolute threshold; by default every stage derives it as 1e-6 times the
-largest |x1| it sees.
+Every pulse is chip_len samples wide.  [run] overlap_mode (default
+at_most_two) joins the [signal] values in the ThUwbConfig layout, which
+checks that at_most_two has enough chips.  Unknown sections and keys are
+refused.  activity_eps may be set to an absolute threshold; by default every
+stage derives it as 1e-6 times the largest |x1| it sees.
 """
 
 from __future__ import annotations
 
 import configparser
-import enum
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .signals import PulseSpec, ThUwbConfig, validate_mixing_matrix
+from .signals import OverlapMode, PulseSpec, ThUwbConfig, validate_mixing_matrix
 
 DEFAULT_QUANTUM = 1e-4
 DEFAULT_PEAK_FRACTION = 0.1
@@ -50,17 +51,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-class OverlapMode(enum.Enum):
-    AT_MOST_TWO = "at_most_two"
-    ALLOW_THREE = "allow_three"
-
-
 @dataclass
 class ExperimentConfig:
     th_uwb: ThUwbConfig
     pulses: list[PulseSpec]
     mixing: np.ndarray
-    overlap_mode: OverlapMode
     output_dir: Path
     quantum: float = DEFAULT_QUANTUM
     peak_fraction: float = DEFAULT_PEAK_FRACTION
@@ -92,38 +87,15 @@ def default_activity_eps(x1: np.ndarray) -> float:
     return ACTIVITY_REL * peak
 
 
-def hop_windows_for_mode(
-    mode: OverlapMode, n_sources: int, n_chips: int
-) -> list[tuple[int, int]] | None:
-    """Per-source chip windows realizing the configured overlap cap.
-
-    ALLOW_THREE hops every source over the whole frame.  AT_MOST_TWO staggers
-    the sources: the first and last source hop over two-chip windows sharing
-    chip 1, every middle source keeps a fixed chip of its own, so no chip is
-    reachable by more than two sources.  Needs n_sources + 1 chips per frame.
-    """
-    if mode is OverlapMode.ALLOW_THREE or n_sources <= 2:
-        return None
-    if n_chips < n_sources + 1:
-        raise ConfigError(
-            f"at_most_two needs at least {n_sources + 1} chips per frame, got {n_chips}"
-        )
-    # first and last source share chip 1, middles sit alone on chips 3, 4, ...
-    middles = [(3 + k, 1) for k in range(n_sources - 2)]
-    return [(0, 2)] + middles + [(1, 2)]
-
-
-def random_mixing(n_sources: int, rows: int, seed: int) -> np.ndarray:
-    """Reproducible random mixing matrix with well-separated column ratios.
+def random_mixing(n_sources: int, seed: int) -> np.ndarray:
+    """Reproducible random 2 x n_sources mixing matrix with separated column ratios.
 
     Entries are uniform in [0.1, 1.0); columns are redrawn until all pairwise
     first-row-normalized ratios differ by at least 0.05, keeping the ratio
     histogram modes distinguishable; such a draw is a valid mixing matrix.
     """
-    if rows < 2:
-        raise ConfigError(f"a mixing matrix needs at least 2 rows, got {rows}")
     rng = np.random.default_rng([seed, 0xA])
-    a = rng.uniform(0.1, 1.0, size=(rows, n_sources))
+    a = rng.uniform(0.1, 1.0, size=(2, n_sources))
     for _ in range(1000):
         ratios = a[1] / a[0]
         bad = None
@@ -136,7 +108,7 @@ def random_mixing(n_sources: int, rows: int, seed: int) -> np.ndarray:
                 break
         if bad is None:
             return a
-        a[:, bad] = rng.uniform(0.1, 1.0, size=rows)
+        a[:, bad] = rng.uniform(0.1, 1.0, size=2)
     raise ConfigError("could not draw a mixing matrix with separated column ratios")
 
 
@@ -210,15 +182,18 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
             raise ConfigError(f"config {path} is missing the [{name}] section")
     sig = parser["signal"]
     seed = seed_override if seed_override is not None else _get(sig, "seed", int, required=True)
+    layout = {key: _get(sig, key, int, required=True)
+              for key in ("chip_len", "frame_len", "total_len", "n_sources")}
+    layout["occupancy"] = _get(sig, "occupancy", float, default=1.0)
+    run = parser["run"]
+    mode_raw = _get(run, "overlap_mode", str, default=OverlapMode.AT_MOST_TWO.value)
     try:
-        th = ThUwbConfig(
-            chip_len=_get(sig, "chip_len", int, required=True),
-            frame_len=_get(sig, "frame_len", int, required=True),
-            total_len=_get(sig, "total_len", int, required=True),
-            n_sources=_get(sig, "n_sources", int, required=True),
-            seed=seed,
-            occupancy=_get(sig, "occupancy", float, default=1.0),
-        )
+        mode = OverlapMode(mode_raw)
+    except ValueError:
+        valid = ", ".join(m.value for m in OverlapMode)
+        raise ConfigError(f"[run] overlap_mode must be one of {valid}, got {mode_raw!r}") from None
+    try:
+        th = ThUwbConfig(**layout, seed=seed, overlap_mode=mode)
     except ValueError as exc:
         raise ConfigError(f"[signal]: {exc}") from None
 
@@ -229,10 +204,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
             f"[signal] pulse_orders/pulse_amplitudes must list {th.n_sources} values"
         )
     try:
-        pulses = [
-            PulseSpec(order=o, width_samples=th.chip_len, amplitude=amp)
-            for o, amp in zip(orders, amplitudes)
-        ]
+        pulses = [PulseSpec(order=o, amplitude=amp) for o, amp in zip(orders, amplitudes)]
     except ValueError as exc:
         raise ConfigError(f"[signal]: {exc}") from None
 
@@ -240,7 +212,7 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     raw = mx.get("matrix", "random").strip()
     draw_seed = _get(mx, "seed", int, default=seed)
     if raw.lower() == "random":
-        mixing = random_mixing(th.n_sources, 2, draw_seed)
+        mixing = random_mixing(th.n_sources, draw_seed)
     else:
         try:
             mixing = parse_matrix(raw)
@@ -249,20 +221,12 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
     est = parser["estimation"] if "estimation" in parser else {}
 
-    run = parser["run"]
-    mode_raw = _get(run, "overlap_mode", str, default=OverlapMode.AT_MOST_TWO.value)
-    try:
-        mode = OverlapMode(mode_raw)
-    except ValueError:
-        valid = ", ".join(m.value for m in OverlapMode)
-        raise ConfigError(f"[run] overlap_mode must be one of {valid}, got {mode_raw!r}") from None
     out_dir = Path(_get(run, "output_dir", str, required=True))
 
     return ExperimentConfig(
         th_uwb=th,
         pulses=pulses,
         mixing=mixing,
-        overlap_mode=mode,
         output_dir=out_dir,
         quantum=_get(est, "quantum", float, default=DEFAULT_QUANTUM),
         peak_fraction=_get(est, "peak_fraction", float, default=DEFAULT_PEAK_FRACTION),

@@ -98,26 +98,21 @@ def align_and_score(truth: np.ndarray, estimates: np.ndarray) -> SeparationRepor
 
 
 def count_uncovered(
-    sources: np.ndarray,
-    pairs: np.ndarray,
-    permutation: list[int | None] | None = None,
+    sources: np.ndarray, pairs: np.ndarray, permutation: list[int | None]
 ) -> int:
     """Samples whose true active set is not inside the selected base pair.
 
     pairs holds estimated-column indices; permutation (as produced by
-    align_and_score) translates them to true-source indices, identity if
-    omitted.  Counts only samples where a pair was selected; samples with
-    three or more simultaneously active sources can never be covered.
+    align_and_score) translates them to true-source indices.  Counts only
+    samples where a pair was selected; samples with three or more
+    simultaneously active sources can never be covered.
     """
     s = np.asarray(sources, dtype=float)
     p = np.asarray(pairs)
     if s.shape[0] != p.shape[0]:
         raise ValueError(f"sample count mismatch: {s.shape[0]} vs {p.shape[0]}")
-    if permutation is None:
-        mapped = np.where((p >= 0) & (p < s.shape[1]), p, -1)
-    else:
-        lut = np.array([-1 if t is None else int(t) for t in permutation], dtype=np.int64)
-        mapped = np.where(p >= 0, lut[np.clip(p, 0, lut.size - 1)], -1)
+    lut = np.array([-1 if t is None else int(t) for t in permutation], dtype=np.int64)
+    mapped = np.where(p >= 0, lut[np.clip(p, 0, lut.size - 1)], -1)
     active = s != 0.0
     rows = np.flatnonzero(p[:, 0] >= 0)
     leftover = active[rows].copy()

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio, svgplot
-from .config import ExperimentConfig, default_activity_eps, hop_windows_for_mode
+from .config import ExperimentConfig, default_activity_eps
 from .estimation import (
     EstimatedMatrix,
     RatioHistogram,
@@ -62,10 +62,7 @@ class ExperimentResult:
 
 
 def build_sources(cfg: ExperimentConfig) -> np.ndarray:
-    windows = hop_windows_for_mode(
-        cfg.overlap_mode, cfg.th_uwb.n_sources, cfg.th_uwb.n_chips
-    )
-    return generate_sources(cfg.th_uwb, cfg.pulses, hop_windows=windows)
+    return generate_sources(cfg.th_uwb, cfg.pulses)
 
 
 def _write_svg(path, text: str) -> None:

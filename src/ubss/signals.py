@@ -1,13 +1,15 @@
 """Sparse pulse-train synthesis and instantaneous linear mixing.
 
 Each source is a time-hopping train of Gaussian-derivative pulses: time is
-split into frames, every frame carries at most one pulse, and the pulse sits
-in a pseudo-randomly chosen chip slot inside the frame.  Mixtures are
+split into frames, every frame carries at most one pulse, and the pulse fills
+a pseudo-randomly chosen chip slot inside the frame.  The overlap mode of
+the layout decides which chips each source may hop over.  Mixtures are
 memoryless linear combinations x(t) = A s(t).
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -16,24 +18,25 @@ import numpy as np
 _VALID_ORDERS = (0, 1, 2)
 
 
+class OverlapMode(enum.Enum):
+    AT_MOST_TWO = "at_most_two"
+    ALLOW_THREE = "allow_three"
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Shape of a single pulse: a Gaussian bell or one of its derivatives.
 
     order: 0 for the bell itself, 1 or 2 for the first or second derivative.
-    width_samples: support length in samples.
     amplitude: peak absolute value of the sampled pulse.
     """
 
     order: int
-    width_samples: int
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         if self.order not in _VALID_ORDERS:
             raise ValueError(f"pulse order must be one of {_VALID_ORDERS}, got {self.order}")
-        if self.width_samples < 1:
-            raise ValueError(f"pulse width must be >= 1 sample, got {self.width_samples}")
         if not math.isfinite(self.amplitude) or self.amplitude == 0.0:
             raise ValueError(f"pulse amplitude must be finite and nonzero, got {self.amplitude}")
 
@@ -42,9 +45,12 @@ class PulseSpec:
 class ThUwbConfig:
     """Time-hopping layout shared by all sources of one run.
 
-    frame_len must be a positive multiple of chip_len; a pulse occupies one
+    frame_len must be a positive multiple of chip_len; a pulse fills one
     chip.  occupancy is the per-frame emission probability (0 allowed, which
-    yields silent sources).
+    yields silent sources).  overlap_mode ALLOW_THREE hops every source over
+    the whole frame; AT_MOST_TWO staggers the sources so that no chip is
+    reachable by more than two of them, which needs n_sources + 1 chips per
+    frame once there are more than two sources.
     """
 
     chip_len: int
@@ -53,6 +59,7 @@ class ThUwbConfig:
     n_sources: int
     seed: int
     occupancy: float = 1.0
+    overlap_mode: OverlapMode = OverlapMode.ALLOW_THREE
 
     def __post_init__(self) -> None:
         if self.chip_len < 1:
@@ -70,6 +77,13 @@ class ThUwbConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 <= self.occupancy <= 1.0:
             raise ValueError(f"occupancy must lie in [0, 1], got {self.occupancy}")
+        object.__setattr__(self, "overlap_mode", OverlapMode(self.overlap_mode))
+        capped = self.overlap_mode is OverlapMode.AT_MOST_TWO and self.n_sources > 2
+        if capped and self.n_chips < self.n_sources + 1:
+            raise ValueError(
+                f"at_most_two needs at least {self.n_sources + 1} chips per frame,"
+                f" got {self.n_chips}"
+            )
 
     @property
     def n_chips(self) -> int:
@@ -81,16 +95,15 @@ class ThUwbConfig:
         return -(-self.total_len // self.frame_len)
 
 
-def pulse_shape(spec: PulseSpec) -> np.ndarray:
-    """Sampled pulse of length spec.width_samples.
+def pulse_shape(spec: PulseSpec, width: int) -> np.ndarray:
+    """Sampled pulse of length width.
 
     The underlying bell is exp(-2*pi*u**2) with u = (t - c) / (width / 4),
     centered on the sample grid at c = (width - 1) / 2, so odd widths hit the
     extremum exactly.  The order-th derivative in u is evaluated and rescaled
     so the largest absolute sample equals spec.amplitude.
     """
-    w = spec.width_samples
-    u = (np.arange(w) - 0.5 * (w - 1)) / (w / 4.0)
+    u = (np.arange(width) - 0.5 * (width - 1)) / (width / 4.0)
     bell = np.exp(-2.0 * np.pi * u * u)
     if spec.order == 0:
         raw = bell
@@ -100,58 +113,42 @@ def pulse_shape(spec: PulseSpec) -> np.ndarray:
         raw = (16.0 * np.pi**2 * u * u - 4.0 * np.pi) * bell
     peak = float(np.max(np.abs(raw)))
     if peak == 0.0:
-        raise ValueError(f"degenerate pulse: order {spec.order} at width {w} is identically zero")
+        raise ValueError(
+            f"degenerate pulse: order {spec.order} at width {width} is identically zero"
+        )
     return spec.amplitude / peak * raw
 
 
-def _check_hop_windows(windows, n_sources: int, n_chips: int) -> list[tuple[int, int]]:
-    if len(windows) != n_sources:
-        raise ValueError(f"expected {n_sources} hop windows, got {len(windows)}")
-    out = []
-    for k, (start, count) in enumerate(windows):
-        if count < 1 or start < 0 or start + count > n_chips:
-            raise ValueError(
-                f"hop window {(start, count)} of source {k} does not fit in {n_chips} chips"
-            )
-        out.append((int(start), int(count)))
-    return out
+def _hop_windows(cfg: ThUwbConfig) -> list[tuple[int, int]]:
+    """Per-source (first chip, chip count) window realizing the overlap mode.
+
+    AT_MOST_TWO gives the first and last source two-chip windows sharing
+    chip 1 and every middle source a fixed chip of its own from chip 3 on.
+    """
+    n = cfg.n_sources
+    if cfg.overlap_mode is OverlapMode.ALLOW_THREE or n <= 2:
+        return [(0, cfg.n_chips)] * n
+    return [(0, 2)] + [(3 + k, 1) for k in range(n - 2)] + [(1, 2)]
 
 
-def generate_sources(
-    cfg: ThUwbConfig,
-    pulses: list[PulseSpec],
-    hop_windows: list[tuple[int, int]] | None = None,
-) -> np.ndarray:
+def generate_sources(cfg: ThUwbConfig, pulses: list[PulseSpec]) -> np.ndarray:
     """Build the (total_len, n_sources) source matrix.
 
     Per source k a dedicated generator seeded with [cfg.seed, k] draws, for
-    every frame in fixed order: an occupancy gate, a chip index, and a pulse
-    sign (+1 or -1).  All three draws happen whether or not the frame emits,
-    so equal seeds give equal signals regardless of occupancy.  A frame emits
-    when its gate is below occupancy and the chosen chip lies entirely inside
-    total_len; the trailing partial frame therefore only emits from chips it
-    fully contains.
-
-    hop_windows optionally restricts source k to chips
-    [start_k, start_k + count_k); by default every source hops over the whole
-    frame.
+    every frame in fixed order: an occupancy gate, a chip index inside the
+    source's hop window, and a pulse sign (+1 or -1).  All three draws happen
+    whether or not the frame emits, so equal seeds give equal signals
+    regardless of occupancy.  A frame emits when its gate is below occupancy
+    and the chosen chip lies entirely inside total_len; the trailing partial
+    frame therefore only emits from chips it fully contains.  Every pulse is
+    sampled at chip_len.
     """
     if len(pulses) != cfg.n_sources:
         raise ValueError(f"expected {cfg.n_sources} pulse specs, got {len(pulses)}")
-    for k, p in enumerate(pulses):
-        if p.width_samples > cfg.chip_len:
-            raise ValueError(
-                f"pulse {k} is {p.width_samples} samples wide, wider than a chip ({cfg.chip_len})"
-            )
-    if hop_windows is None:
-        hop_windows = [(0, cfg.n_chips)] * cfg.n_sources
-    hop_windows = _check_hop_windows(hop_windows, cfg.n_sources, cfg.n_chips)
-
     out = np.zeros((cfg.total_len, cfg.n_sources))
-    for k in range(cfg.n_sources):
+    for k, (start, count) in enumerate(_hop_windows(cfg)):
         rng = np.random.default_rng([cfg.seed, k])
-        shape = pulse_shape(pulses[k])
-        start, count = hop_windows[k]
+        shape = pulse_shape(pulses[k], cfg.chip_len)
         for f in range(cfg.n_frames):
             gate = rng.random()
             chip = start + int(rng.integers(count))
@@ -161,7 +158,7 @@ def generate_sources(
             chip_start = f * cfg.frame_len + chip * cfg.chip_len
             if chip_start + cfg.chip_len > cfg.total_len:
                 continue
-            out[chip_start : chip_start + pulses[k].width_samples, k] = sign * shape
+            out[chip_start : chip_start + cfg.chip_len, k] = sign * shape
     return out
 
 

@@ -109,7 +109,7 @@ def test_04_lone_source_recovery_oracle():
     a = np.array([[1.0, 0.5, 0.25], [0.9, 0.3, 1.1]])
     est = EstimatedMatrix(ratios=tuple(a[1] / a[0]))
     th = ThUwbConfig(chip_len=161, frame_len=644, total_len=2898, n_sources=3, seed=5)
-    all_sources = generate_sources(th, [PulseSpec(order=k, width_samples=161) for k in range(3)])
+    all_sources = generate_sources(th, [PulseSpec(order=k) for k in range(3)])
     worst = 0.0
     others_zero = True
     for k in range(3):
@@ -136,7 +136,7 @@ def test_05_recovered_pair_remixes_to_the_input():
     total, worst = 0, 0.0
     while total < 10_000:
         n = int(rng.integers(3, 6))
-        a = random_mixing(n, 2, int(rng.integers(0, 2**31)))
+        a = random_mixing(n, int(rng.integers(0, 2**31)))
         ratios = a[1] / a[0]
         est = EstimatedMatrix(ratios=tuple(ratios))
         x = rng.normal(size=(500, 2))
@@ -161,7 +161,7 @@ def test_06_two_active_sources_recovered_exactly():
     # exact, and the pair the staggered hop layout lets co-fire (first and
     # last source) must never be misselected
     active_floor = 1e-6
-    bell = pulse_shape(PulseSpec(order=0, width_samples=161))
+    bell = pulse_shape(PulseSpec(order=0), 161)
     worst_conditional = 0.0
     shared_wrong = 0
     shared_samples = 0
@@ -232,12 +232,12 @@ def _controlled_overlap_run(mode: OverlapMode):
         n_sources=3,
         seed=27,
         occupancy=1.0 / 3.0,
+        overlap_mode=mode,
     )
     cfg = ExperimentConfig(
         th_uwb=th,
-        pulses=[PulseSpec(order=0, width_samples=161)] * 3,
+        pulses=[PulseSpec(order=0)] * 3,
         mixing=_OVERLAP_MATRIX.copy(),
-        overlap_mode=mode,
         output_dir=Path("unused"),
         peak_fraction=0.25,
     )

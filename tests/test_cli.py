@@ -146,19 +146,26 @@ def test_mix_refuses_the_matrix_run_refuses(tmp_path, capsys):
 COMMANDS = ("run", "generate", "mix", "estimate", "separate", "score")
 
 
+MATRIX = "0.4 0.6 0.3 ; 0.8 0.1 0.5"
+
+
 @pytest.mark.parametrize(
-    "matrix, message",
+    "line, replacement, message",
     [
-        ("0.4 0.0 0.3 ; 0.8 0.1 0.5",
+        (MATRIX, "0.4 0.0 0.3 ; 0.8 0.1 0.5",
          "[mixing] matrix: column 1 has a zero first entry; ratio estimation needs a[0,:] != 0"),
-        ("0.4 0.6 0.3 ; 0.8 0.1 0.5 ; 0.2 0.9 0.7",
+        (MATRIX, "0.4 0.6 0.3 ; 0.8 0.1 0.5 ; 0.2 0.9 0.7",
          "[mixing] matrix: estimation requires exactly 2 mixture channels, got 3"),
-        ("0.4 0.6 0.3 0.9 ; 0.8 0.1 0.5 0.2", "[mixing] matrix has 4 columns for 3 sources"),
+        (MATRIX, "0.4 0.6 0.3 0.9 ; 0.8 0.1 0.5 0.2",
+         "[mixing] matrix has 4 columns for 3 sources"),
+        # at_most_two with 3 sources on 3 chips per frame
+        ("frame_len = 40", "frame_len = 30",
+         "[signal]: at_most_two needs at least 4 chips per frame, got 3"),
     ],
-    ids=["zero-first-row", "three-rows", "column-count"],
+    ids=["zero-first-row", "three-rows", "column-count", "at-most-two-chips"],
 )
-def test_every_command_refuses_the_matrix_at_load(tmp_path, capsys, matrix, message):
-    cfg = _write_cfg(tmp_path, BASE_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", matrix))
+def test_every_command_refuses_the_config_at_load(tmp_path, capsys, line, replacement, message):
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace(line, replacement))
     for command in COMMANDS:
         assert main([command, cfg]) == 1, command
         err = capsys.readouterr().err

@@ -13,11 +13,11 @@ from ubss import (
     PulseSpec,
     ThUwbConfig,
     default_activity_eps,
-    hop_windows_for_mode,
     load_config,
     random_mixing,
 )
 from ubss.config import parse_matrix
+from ubss.pipeline import build_sources
 
 FULL_CFG = """\
 [signal]
@@ -72,12 +72,11 @@ def test_load_config_full(tmp_path):
     assert cfg.th_uwb.occupancy == 0.75
     assert [p.order for p in cfg.pulses] == [0, 1, 2]
     assert [p.amplitude for p in cfg.pulses] == [1.0, 2.0, 0.5]
-    assert all(p.width_samples == 10 for p in cfg.pulses)
     assert np.array_equal(cfg.mixing, [[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
     assert cfg.quantum == 2e-4
     assert cfg.peak_fraction == 0.2
     assert cfg.activity_eps == 1e-9
-    assert cfg.overlap_mode is OverlapMode.ALLOW_THREE
+    assert cfg.th_uwb.overlap_mode is OverlapMode.ALLOW_THREE
     assert str(cfg.output_dir) == "out/full"
 
 
@@ -88,19 +87,19 @@ def test_load_config_defaults(tmp_path):
     assert [p.amplitude for p in cfg.pulses] == [1.0, 1.0, 1.0]
     # without a [mixing] section the matrix is drawn from the signal seed
     assert cfg.mixing.shape == (2, 3)
-    assert np.array_equal(cfg.mixing, random_mixing(3, 2, 7))
+    assert np.array_equal(cfg.mixing, random_mixing(3, 7))
     assert cfg.quantum == 1e-4
     assert cfg.peak_fraction == 0.1
     assert cfg.activity_eps is None
-    assert cfg.overlap_mode is OverlapMode.AT_MOST_TWO
+    assert cfg.th_uwb.overlap_mode is OverlapMode.AT_MOST_TWO
 
 
 def test_load_config_random_matrix(tmp_path):
     # the [mixing] seed drives the draw; without it, the signal seed after any override
     random_cfg = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "random")
     path = _write(tmp_path, random_cfg, "random.cfg")
-    assert np.array_equal(load_config(path).mixing, random_mixing(3, 2, 11))
-    assert np.array_equal(load_config(path, seed_override=42).mixing, random_mixing(3, 2, 42))
+    assert np.array_equal(load_config(path).mixing, random_mixing(3, 11))
+    assert np.array_equal(load_config(path, seed_override=42).mixing, random_mixing(3, 42))
     seeded = _write(tmp_path, random_cfg.replace("matrix = random", "matrix = random\nseed = 17"))
     a = load_config(seeded).mixing
     # pinned bits: a changed draw would change every run of a random-matrix config
@@ -108,9 +107,9 @@ def test_load_config_random_matrix(tmp_path):
         [0.4723707489464136, 0.9621152410228727, 0.3109682208504019],
         [0.21451959622331696, 0.9311249621473774, 0.42149292582642595],
     ]
-    assert np.array_equal(a, random_mixing(3, 2, 17))
+    assert np.array_equal(a, random_mixing(3, 17))
     assert np.array_equal(load_config(seeded, seed_override=42).mixing, a)
-    assert not np.array_equal(a, random_mixing(3, 2, 11))
+    assert not np.array_equal(a, random_mixing(3, 11))
     bad = random_cfg.replace("matrix = random", "matrix = random\nseed = many")
     with pytest.raises(ConfigError, match=r"\[mixing\] seed = 'many'"):
         load_config(_write(tmp_path, bad))
@@ -156,8 +155,12 @@ def test_load_config_missing_and_bad_keys(tmp_path):
     with pytest.raises(ConfigError, match="missing required key 'chip_len'"):
         load_config(_write(tmp_path, broken))
     broken = MINIMAL_CFG.replace("chip_len = 10", "chip_len = ten")
-    with pytest.raises(ConfigError, match=r"\[signal\] chip_len = 'ten'"):
+    with pytest.raises(ConfigError) as info:
         load_config(_write(tmp_path, broken))
+    # one section prefix: the value is parsed before the layout is built
+    assert str(info.value) == (
+        "[signal] chip_len = 'ten': invalid literal for int() with base 10: 'ten'"
+    )
     broken = MINIMAL_CFG.replace("frame_len = 40", "frame_len = 45")
     with pytest.raises(ConfigError, match="multiple of chip_len"):
         load_config(_write(tmp_path, broken))
@@ -221,41 +224,44 @@ def test_parse_matrix():
         parse_matrix("1 x ; 3 4")
 
 
-def test_hop_windows_for_mode():
-    # unrestricted hopping when overlaps are allowed or cannot exceed two
-    assert hop_windows_for_mode(OverlapMode.ALLOW_THREE, 3, 4) is None
-    assert hop_windows_for_mode(OverlapMode.AT_MOST_TWO, 2, 4) is None
-    windows = hop_windows_for_mode(OverlapMode.AT_MOST_TWO, 3, 4)
-    assert windows == [(0, 2), (3, 1), (1, 2)]
-    windows = hop_windows_for_mode(OverlapMode.AT_MOST_TWO, 4, 6)
-    assert windows == [(0, 2), (3, 1), (4, 1), (1, 2)]
-    with pytest.raises(ConfigError, match="at least 4 chips per frame, got 3"):
-        hop_windows_for_mode(OverlapMode.AT_MOST_TWO, 3, 3)
+def test_overlap_mode_chip_floor(tmp_path):
+    # at_most_two needs n_sources + 1 chips per frame; the layout refuses fewer
+    # when it is built, so the loader does too
+    capped = FULL_CFG.replace("overlap_mode = allow_three", "overlap_mode = at_most_two")
+    three_chips = capped.replace("frame_len = 40", "frame_len = 30")
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, three_chips))
+    assert str(info.value) == "[signal]: at_most_two needs at least 4 chips per frame, got 3"
+    assert load_config(_write(tmp_path, capped)).th_uwb.n_chips == 4
+    # free overlaps need no spare chip; test_signals sweeps the rule itself
+    free = three_chips.replace("overlap_mode = at_most_two", "overlap_mode = allow_three")
+    assert load_config(_write(tmp_path, free)).th_uwb.n_chips == 3
 
 
-def test_hop_windows_cap_reachable_chips():
+def test_hop_windows_cap_reachable_chips(tmp_path):
     # no chip is reachable by more than two sources, but one shared chip exists
     for n_sources, n_chips in ((3, 4), (4, 5), (5, 8)):
-        windows = hop_windows_for_mode(OverlapMode.AT_MOST_TWO, n_sources, n_chips)
+        text = MINIMAL_CFG.replace("frame_len = 40", f"frame_len = {10 * n_chips}")
+        text = text.replace("total_len = 120", f"total_len = {2000 * n_chips}")
+        text = text.replace("n_sources = 3", f"n_sources = {n_sources}")
+        sources = build_sources(load_config(_write(tmp_path, text)))
         reach = {}
-        for k, (start, count) in enumerate(windows):
-            assert 0 <= start and start + count <= n_chips
-            for c in range(start, start + count):
+        for k in range(n_sources):
+            starts = np.flatnonzero(sources[:, k])[::10]
+            for c in set((starts % (10 * n_chips)) // 10):
                 reach.setdefault(c, []).append(k)
         assert max(len(v) for v in reach.values()) == 2
 
 
 def test_random_mixing_reproducible_and_separated():
-    a = random_mixing(4, 2, 123)
-    b = random_mixing(4, 2, 123)
+    a = random_mixing(4, 123)
+    b = random_mixing(4, 123)
     assert np.array_equal(a, b)
     assert a.shape == (2, 4)
     assert np.all((a >= 0.1) & (a < 1.0))
     ratios = np.sort(a[1] / a[0])
     assert np.min(np.diff(ratios)) >= 0.05
-    assert not np.array_equal(a, random_mixing(4, 2, 124))
-    with pytest.raises(ConfigError, match="at least 2 rows"):
-        random_mixing(3, 1, 0)
+    assert not np.array_equal(a, random_mixing(4, 124))
 
 
 def test_default_activity_eps():
@@ -334,9 +340,8 @@ def test_experiment_config_matches_the_three_site_oracle(case):
     th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=n_sources, seed=0)
     fields = dict(
         th_uwb=th,
-        pulses=[PulseSpec(order=0, width_samples=10)] * n_sources,
+        pulses=[PulseSpec(order=0)] * n_sources,
         mixing=a.copy(),
-        overlap_mode=OverlapMode.AT_MOST_TWO,
         output_dir=Path("unused"),
     )
     if not expected:

@@ -178,11 +178,11 @@ def test_count_uncovered_identity_and_unmatched():
     sources[1, [0, 2]] = 1.0
     sources[2, 1] = 1.0
     pairs = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-    assert count_uncovered(sources, pairs) == 0
+    assert count_uncovered(sources, pairs, [0, 1, 2]) == 0
     # an unmatched estimate column cannot cover anything
     assert count_uncovered(sources, pairs, [0, None, 2]) == 1
     with pytest.raises(ValueError, match="sample count mismatch"):
-        count_uncovered(sources, pairs[:2])
+        count_uncovered(sources, pairs[:2], [0, 1, 2])
 
 
 def test_max_simultaneous_sources():

@@ -43,15 +43,14 @@ ARTIFACTS = [
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _cfg(out_dir, seed=3, **kw):
+def _cfg(out_dir, seed=3, mode=OverlapMode.AT_MOST_TWO, **kw):
     th = ThUwbConfig(
-        chip_len=10, frame_len=40, total_len=1200, n_sources=3, seed=seed
+        chip_len=10, frame_len=40, total_len=1200, n_sources=3, seed=seed, overlap_mode=mode
     )
     fields = dict(
         th_uwb=th,
-        pulses=[PulseSpec(order=k, width_samples=10) for k in range(3)],
+        pulses=[PulseSpec(order=k) for k in range(3)],
         mixing=np.array([[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]]),
-        overlap_mode=OverlapMode.AT_MOST_TWO,
         output_dir=Path(out_dir),
     )
     fields.update(kw)
@@ -109,7 +108,7 @@ def test_run_experiment_needs_two_rows(tmp_path):
         _cfg(
             tmp_path / "out",
             th_uwb=ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=1, seed=0),
-            pulses=[PulseSpec(order=0, width_samples=10)],
+            pulses=[PulseSpec(order=0)],
             mixing=np.array([[0.5]]),
         )
     with pytest.raises(ConfigError, match="exactly 2 mixture channels, got 3"):
@@ -140,7 +139,7 @@ def test_stage_mix_refuses_what_run_refuses(tmp_path):
     # run_experiment and every stage take an ExperimentConfig, so a matrix
     # outside the ratio model is refused before any stage can run
     th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=2, seed=5)
-    two = [PulseSpec(order=0, width_samples=10), PulseSpec(order=1, width_samples=10)]
+    two = [PulseSpec(order=0), PulseSpec(order=1)]
     three_rows = np.vstack([_cfg(tmp_path).mixing, [0.2, 0.9, 0.7]])
     for bad, message in (
         # zero first entry in column 1: outside the ratio model
@@ -162,7 +161,7 @@ def test_stage_mix_refuses_what_run_refuses(tmp_path):
 
 def test_build_sources_honors_overlap_mode(tmp_path):
     capped = build_sources(_cfg(tmp_path, seed=12))
-    free = build_sources(_cfg(tmp_path, seed=12, overlap_mode=OverlapMode.ALLOW_THREE))
+    free = build_sources(_cfg(tmp_path, seed=12, mode=OverlapMode.ALLOW_THREE))
     assert max_simultaneous_sources(capped) <= 2
     assert not np.array_equal(capped, free)
 

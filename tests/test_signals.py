@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubss import (
+    OverlapMode,
     PulseSpec,
     ThUwbConfig,
     generate_sources,
+    max_simultaneous_sources,
     mix,
     pulse_shape,
     validate_mixing_matrix,
@@ -13,38 +17,36 @@ from ubss import (
 
 def test_pulse_spec_validation():
     with pytest.raises(ValueError, match="order"):
-        PulseSpec(order=3, width_samples=10)
-    with pytest.raises(ValueError, match="width"):
-        PulseSpec(order=0, width_samples=0)
+        PulseSpec(order=3)
     with pytest.raises(ValueError, match="amplitude"):
-        PulseSpec(order=0, width_samples=10, amplitude=0.0)
+        PulseSpec(order=0, amplitude=0.0)
     with pytest.raises(ValueError, match="amplitude"):
-        PulseSpec(order=0, width_samples=10, amplitude=float("nan"))
+        PulseSpec(order=0, amplitude=float("nan"))
 
 
 def test_pulse_shape_length_and_peak():
     for order in (0, 1, 2):
         for width in (9, 33, 161):
-            shape = pulse_shape(PulseSpec(order=order, width_samples=width, amplitude=2.5))
+            shape = pulse_shape(PulseSpec(order=order, amplitude=2.5), width)
             assert shape.shape == (width,)
             assert np.max(np.abs(shape)) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_pulse_shape_order0_peaks_at_center():
-    shape = pulse_shape(PulseSpec(order=0, width_samples=161, amplitude=1.0))
+    shape = pulse_shape(PulseSpec(order=0), 161)
     assert shape[80] == 1.0
     assert np.all(shape > 0.0)
     assert np.allclose(shape, shape[::-1])
 
 
 def test_pulse_shape_order1_is_odd():
-    shape = pulse_shape(PulseSpec(order=1, width_samples=161, amplitude=1.0))
+    shape = pulse_shape(PulseSpec(order=1), 161)
     assert shape[80] == 0.0
     assert np.allclose(shape, -shape[::-1])
 
 
 def test_pulse_shape_order2_center_trough():
-    shape = pulse_shape(PulseSpec(order=2, width_samples=161, amplitude=1.0))
+    shape = pulse_shape(PulseSpec(order=2), 161)
     assert shape[80] == pytest.approx(-1.0, rel=1e-15)
     assert np.allclose(shape, shape[::-1])
     assert np.max(shape) > 0.0
@@ -65,7 +67,11 @@ def test_th_uwb_config_validation():
         ThUwbConfig(**{**good, "seed": -1})
     with pytest.raises(ValueError, match="occupancy"):
         ThUwbConfig(**{**good, "occupancy": 1.5})
+    with pytest.raises(ValueError, match="not a valid OverlapMode"):
+        ThUwbConfig(**{**good, "overlap_mode": "sometimes"})
     cfg = ThUwbConfig(**good)
+    assert cfg.overlap_mode is OverlapMode.ALLOW_THREE
+    assert ThUwbConfig(**good, overlap_mode="at_most_two").overlap_mode is OverlapMode.AT_MOST_TWO
     assert cfg.n_chips == 4
     assert cfg.n_frames == 3
     assert ThUwbConfig(**{**good, "total_len": 121}).n_frames == 4
@@ -73,7 +79,7 @@ def test_th_uwb_config_validation():
 
 def test_generate_sources_layout():
     cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=2, seed=3)
-    pulses = [PulseSpec(order=0, width_samples=10), PulseSpec(order=1, width_samples=10)]
+    pulses = [PulseSpec(order=0), PulseSpec(order=1)]
     src = generate_sources(cfg, pulses)
     assert src.shape == (120, 2)
     # at most one pulse per frame, confined to a single chip
@@ -87,19 +93,19 @@ def test_generate_sources_layout():
 
 def test_generate_sources_deterministic_and_per_source():
     cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=3, seed=7)
-    pulses = [PulseSpec(order=0, width_samples=9)] * 3
+    pulses = [PulseSpec(order=0)] * 3
     a = generate_sources(cfg, pulses)
     b = generate_sources(cfg, pulses)
     assert np.array_equal(a, b)
     # adding a source leaves the existing source streams untouched
     cfg4 = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=4, seed=7)
-    c = generate_sources(cfg4, pulses + [PulseSpec(order=0, width_samples=9)])
+    c = generate_sources(cfg4, pulses + [PulseSpec(order=0)])
     assert np.array_equal(a, c[:, :3])
 
 
 def test_generate_sources_occupancy_thins_frames():
     base = dict(chip_len=10, frame_len=40, total_len=4000, n_sources=1, seed=5)
-    pulses = [PulseSpec(order=0, width_samples=10)]
+    pulses = [PulseSpec(order=0)]
     full = generate_sources(ThUwbConfig(**base, occupancy=1.0), pulses)
     half = generate_sources(ThUwbConfig(**base, occupancy=0.5), pulses)
     empty = generate_sources(ThUwbConfig(**base, occupancy=0.0), pulses)
@@ -111,32 +117,114 @@ def test_generate_sources_occupancy_thins_frames():
 
 
 def test_generate_sources_hop_windows():
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=4000, n_sources=2, seed=1)
-    pulses = [PulseSpec(order=0, width_samples=10)] * 2
-    src = generate_sources(cfg, pulses, hop_windows=[(0, 1), (3, 1)])
-    for k, chip in ((0, 0), (1, 3)):
-        nz = np.flatnonzero(src[:, k])
-        assert nz.size > 0
-        assert np.all((nz % 40) // 10 == chip)
-    with pytest.raises(ValueError, match="hop window"):
-        generate_sources(cfg, pulses, hop_windows=[(0, 1), (3, 2)])
-    with pytest.raises(ValueError, match="hop windows"):
-        generate_sources(cfg, pulses, hop_windows=[(0, 1)])
-
-
-def test_generate_sources_rejects_wide_pulse():
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=1, seed=0)
-    with pytest.raises(ValueError, match="wider than a chip"):
-        generate_sources(cfg, [PulseSpec(order=0, width_samples=11)])
+    # at_most_two: the first and last source share chip 1 of their two-chip
+    # windows, every middle source keeps a chip of its own from chip 3 on
+    for n_chips, chips in ((4, [{0, 1}, {3}, {1, 2}]), (6, [{0, 1}, {3}, {4}, {1, 2}])):
+        cfg = ThUwbConfig(chip_len=10, frame_len=10 * n_chips, total_len=100 * n_chips,
+                          n_sources=len(chips), seed=1, overlap_mode=OverlapMode.AT_MOST_TWO)
+        src = generate_sources(cfg, [PulseSpec(order=0)] * len(chips))
+        for k, want in enumerate(chips):
+            starts = np.flatnonzero(src[:, k])[::10]
+            assert set((starts % cfg.frame_len) // 10) == want
+    # allow_three hops every source over the whole frame
+    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=4000, n_sources=3, seed=1)
+    src = generate_sources(cfg, [PulseSpec(order=0)] * 3)
+    for k in range(3):
+        assert set((np.flatnonzero(src[:, k])[::10] % 40) // 10) == {0, 1, 2, 3}
 
 
 def test_generate_sources_trailing_partial_frame():
     # 3 full frames plus 15 samples: only chip 0 of the last frame fits
     cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=135, n_sources=1, seed=2)
-    src = generate_sources(cfg, [PulseSpec(order=0, width_samples=10)])
+    src = generate_sources(cfg, [PulseSpec(order=0)])
     assert src.shape == (135, 1)
     nz = np.flatnonzero(src[120:, 0])
     assert np.all(nz < 10)
+
+
+def _old_hop_windows_for_mode(mode, n_sources, n_chips):
+    """The per-source chip windows as the loader derived them before the layout did."""
+    if mode is OverlapMode.ALLOW_THREE or n_sources <= 2:
+        return None
+    if n_chips < n_sources + 1:
+        raise ValueError(
+            f"at_most_two needs at least {n_sources + 1} chips per frame, got {n_chips}"
+        )
+    middles = [(3 + k, 1) for k in range(n_sources - 2)]
+    return [(0, 2)] + middles + [(1, 2)]
+
+
+def _old_generate_sources(cfg, pulses, hop_windows=None):
+    """generate_sources as it stood with explicit hop windows, pulses chip_len wide."""
+    if hop_windows is None:
+        hop_windows = [(0, cfg.n_chips)] * cfg.n_sources
+    out = np.zeros((cfg.total_len, cfg.n_sources))
+    for k in range(cfg.n_sources):
+        rng = np.random.default_rng([cfg.seed, k])
+        shape = pulse_shape(pulses[k], cfg.chip_len)
+        start, count = hop_windows[k]
+        for f in range(cfg.n_frames):
+            gate = rng.random()
+            chip = start + int(rng.integers(count))
+            sign = 1.0 - 2.0 * float(rng.integers(2))
+            if gate >= cfg.occupancy:
+                continue
+            chip_start = f * cfg.frame_len + chip * cfg.chip_len
+            if chip_start + cfg.chip_len > cfg.total_len:
+                continue
+            out[chip_start : chip_start + cfg.chip_len, k] = sign * shape
+    return out
+
+
+@st.composite
+def layouts(draw):
+    n = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(list(OverlapMode)))
+    floor = n + 1 if mode is OverlapMode.AT_MOST_TWO and n > 2 else 1
+    chip_len = draw(st.integers(2, 12))
+    frame_len = chip_len * draw(st.integers(floor, floor + 3))
+    # whole frames plus a trailing partial one, possibly empty
+    total_len = frame_len * draw(st.integers(1, 30)) + draw(st.integers(0, frame_len - 1))
+    cfg = ThUwbConfig(
+        chip_len=chip_len,
+        frame_len=frame_len,
+        total_len=total_len,
+        n_sources=n,
+        seed=draw(st.integers(0, 2**32)),
+        occupancy=draw(st.floats(0.0, 1.0)),
+        overlap_mode=mode,
+    )
+    amplitudes = st.sampled_from([1.0, -1.0, 2.5, 0.3, 1e-3])
+    pulses = [PulseSpec(order=draw(st.sampled_from((0, 1, 2))), amplitude=draw(amplitudes))
+              for _ in range(n)]
+    return cfg, pulses
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=layouts())
+def test_generate_sources_matches_the_explicit_window_oracle(layout):
+    cfg, pulses = layout
+    windows = _old_hop_windows_for_mode(cfg.overlap_mode, cfg.n_sources, cfg.n_chips)
+    got = generate_sources(cfg, pulses)
+    want = _old_generate_sources(cfg, pulses, windows)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if cfg.overlap_mode is OverlapMode.AT_MOST_TWO:
+        assert max_simultaneous_sources(got) <= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), n_chips=st.integers(1, 8), mode=st.sampled_from(list(OverlapMode)))
+def test_layout_refuses_exactly_what_the_old_windows_refused(n, n_chips, mode):
+    fields = dict(chip_len=3, frame_len=3 * n_chips, total_len=30 * n_chips, n_sources=n,
+                  seed=0, overlap_mode=mode)
+    try:
+        _old_hop_windows_for_mode(mode, n, n_chips)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            ThUwbConfig(**fields)
+        assert str(info.value) == str(exc)
+    else:
+        assert ThUwbConfig(**fields).n_chips == n_chips
 
 
 def test_mix_shapes_and_values():
