@@ -27,7 +27,6 @@ from .estimation import (
 from .evaluation import (
     SeparationReport,
     align_and_score,
-    correlation,
     count_uncovered,
     max_simultaneous_sources,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "build_histogram",
     "column_angles",
     "compute_ratios",
-    "correlation",
     "count_uncovered",
     "default_activity_eps",
     "estimate_mixing",

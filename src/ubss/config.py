@@ -71,6 +71,10 @@ class ExperimentConfig:
                 f"[mixing] matrix has {self.mixing.shape[1]} columns"
                 f" for {self.th_uwb.n_sources} sources"
             )
+        if len(self.pulses) != self.th_uwb.n_sources:
+            raise ConfigError(
+                f"[signal] {len(self.pulses)} pulse specs for {self.th_uwb.n_sources} sources"
+            )
         if not self.quantum > 0.0:
             raise ConfigError(f"quantum must be positive, got {self.quantum}")
         if not 0.0 < self.peak_fraction < 1.0:

@@ -23,39 +23,40 @@ class SeparationReport:
     n_sources_true: int
 
 
-def correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Normalized covariance C = cov(x,y) / sqrt(cov(x,x) cov(y,y)).
+def _centre(v: np.ndarray, column: np.ndarray, name: str, k: int) -> float:
+    """Copy column k of `name` into v, centre it in place, return its deviation.
 
-    Covariances are mean-subtracted with 1/(T-1) normalization.  Zero-variance
-    input is rejected.
+    Refuses NaN and inf.  A constant column returns 0.0 uncentred, as its mean
+    need not equal the constant and the rounding residue must not score.
     """
-    xv = np.asarray(x, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    if xv.size < 2:
-        raise ValueError("correlation needs at least 2 samples")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    denom = float(xv.size - 1)
-    cxx = float(xc @ xc) / denom
-    cyy = float(yc @ yc) / denom
-    if cxx == 0.0 or cyy == 0.0:
-        raise ValueError("degenerate signal: zero variance")
-    cxy = float(xc @ yc) / denom
-    return cxy / (np.sqrt(cxx) * np.sqrt(cyy))
+    v[:] = column
+    lo, hi = v.min(), v.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{name} column {k} holds NaN or inf")
+    if lo == hi:
+        return 0.0
+    v -= v.mean()
+    return float(np.sqrt(float(v @ v) / (v.size - 1)))
 
 
 def _correlation_table(truth: np.ndarray, estimates: np.ndarray) -> np.ndarray:
-    """Signed correlations, zero for any pairing with a constant column."""
-    n_est, n_true = estimates.shape[1], truth.shape[1]
-    table = np.zeros((n_est, n_true))
-    est_ok = estimates.std(axis=0) > 0.0
-    true_ok = truth.std(axis=0) > 0.0
-    for e in range(n_est):
+    """C = cov(e, t) / (std(e) std(t)) with 1/(T-1) normalisation, 0 if either is flat.
+
+    Each column is copied and centred once (the truth into one (n_true, T)
+    array, each estimate into one reused buffer), then each entry takes one
+    dot product: the float operations of a per-pair centre-and-dot, same bits.
+    """
+    n_samples, n_true = truth.shape
+    rows = np.empty((n_true, n_samples))
+    dev_true = [_centre(rows[t], truth[:, t], "truth", t) for t in range(n_true)]
+    table = np.zeros((estimates.shape[1], n_true))
+    buf = np.empty(n_samples)
+    for e in range(estimates.shape[1]):
+        dev_est = _centre(buf, estimates[:, e], "estimates", e)
         for t in range(n_true):
-            if est_ok[e] and true_ok[t]:
-                table[e, t] = correlation(estimates[:, e], truth[:, t])
+            if dev_est != 0.0 and dev_true[t] != 0.0:
+                cov = float(buf @ rows[t]) / (n_samples - 1)
+                table[e, t] = cov / (dev_est * dev_true[t])
     return table
 
 
@@ -64,7 +65,8 @@ def align_and_score(truth: np.ndarray, estimates: np.ndarray) -> SeparationRepor
 
     The greedy matcher repeatedly pairs the globally best remaining |C| (ties
     by lower estimated then lower true index), so constant estimated columns,
-    scored 0, are matched last.
+    scored 0, are matched last.  Input holding NaN or inf, or fewer than 2
+    samples, is refused.
     """
     s = np.asarray(truth, dtype=float)
     y = np.asarray(estimates, dtype=float)
@@ -72,20 +74,15 @@ def align_and_score(truth: np.ndarray, estimates: np.ndarray) -> SeparationRepor
         raise ValueError("truth and estimates must be 2-D (samples x channels)")
     if s.shape[0] != y.shape[0]:
         raise ValueError(f"sample count mismatch: {s.shape[0]} vs {y.shape[0]}")
+    if s.shape[0] < 2:
+        raise ValueError("scoring needs at least 2 samples")
 
     table = _correlation_table(s, y)
     n_est, n_true = table.shape
     matched: dict[int, int] = {}
-    free_est = set(range(n_est))
-    free_true = set(range(n_true))
-    for _ in range(min(n_est, n_true)):
-        best = max(
-            ((e, t) for e in sorted(free_est) for t in sorted(free_true)),
-            key=lambda et: (abs(table[et]), -et[0], -et[1]),
-        )
-        matched[best[0]] = best[1]
-        free_est.remove(best[0])
-        free_true.remove(best[1])
+    for e, t in sorted(np.ndindex(table.shape), key=lambda et: (-abs(table[et]), et)):
+        if e not in matched and t not in matched.values():
+            matched[e] = t
 
     permutation: list[int | None] = [matched.get(e) for e in range(n_est)]
     coefficients = [float(table[e, matched[e]]) for e in sorted(matched)]

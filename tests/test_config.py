@@ -172,6 +172,18 @@ def test_load_config_pulse_list_length(tmp_path):
         load_config(_write(tmp_path, broken))
 
 
+@pytest.mark.parametrize("n_pulses", [0, 1, 2, 4])
+def test_experiment_config_refuses_a_pulse_count_unequal_to_the_sources(n_pulses):
+    # built in code, not loaded: the config refuses it, not generate_sources later
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=3, seed=0)
+    fields = dict(th_uwb=th, mixing=np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]]),
+                  output_dir=Path("unused"))
+    with pytest.raises(ConfigError, match=rf"^\[signal\] {n_pulses} pulse specs for 3 sources$"):
+        ExperimentConfig(pulses=[PulseSpec(order=0)] * n_pulses, **fields)
+    cfg = ExperimentConfig(pulses=[PulseSpec(order=0)] * 3, **fields)
+    assert build_sources(cfg).shape == (400, 3)
+
+
 def test_load_config_matrix_errors(tmp_path):
     bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "0.4 0.6 ; 0.8 0.1")
     with pytest.raises(ConfigError, match="2 columns for 3 sources"):
