@@ -26,8 +26,8 @@ class SeparationReport:
 def _centre(v: np.ndarray, column: np.ndarray, name: str, k: int) -> float:
     """Copy column k of `name` into v, centre it in place, return its deviation.
 
-    Refuses NaN and inf.  A constant column returns 0.0 uncentred, as its mean
-    need not equal the constant and the rounding residue must not score.
+    Refuses NaN, inf and overflow.  A constant column returns 0.0 uncentred, as
+    its mean need not equal the constant and the rounding residue must not score.
     """
     v[:] = column
     lo, hi = v.min(), v.max()
@@ -35,8 +35,11 @@ def _centre(v: np.ndarray, column: np.ndarray, name: str, k: int) -> float:
         raise ValueError(f"{name} column {k} holds NaN or inf")
     if lo == hi:
         return 0.0
-    v -= v.mean()
-    return float(np.sqrt(float(v @ v) / (v.size - 1)))
+    with np.errstate(over="ignore"):
+        v -= v.mean()
+        if np.isfinite(dev := float(np.sqrt(float(v @ v) / (v.size - 1)))):
+            return dev
+    raise ValueError(f"{name} column {k} is too large to score: its deviation overflows")
 
 
 def _correlation_table(truth: np.ndarray, estimates: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Minimal SVG renderings of waveforms and ratio histograms.
 
-Plain polyline and rect markup, fixed viewBox, no external assets.  Output is
-deterministic for identical inputs; each distinct coordinate is formatted once.
+Plain polyline and rect markup, fixed viewBox, no external assets, deterministic
+output.  Waveforms keep at most 4 samples per pixel column and channel (M4).
 """
 
 from __future__ import annotations
@@ -27,32 +27,44 @@ def _svg(width: int, height: int, body: list[str]) -> str:
 
 
 def waveform_svg(signals: np.ndarray) -> str:
-    """One stacked panel per channel, all panels on a shared amplitude scale."""
+    """One stacked panel per channel, all panels on a shared amplitude scale.
+
+    Sample t of T falls in pixel column min(plot_w*t // (T-1), plot_w-1).  Per
+    column and channel the first, the last and the first samples to reach the
+    lowest and the highest y are kept, in time order, at their own x (M4).
+    """
     x = np.asarray(signals, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError(f"waveform plot needs a (T, K) array with T >= 2, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 2 or not np.isfinite(x).all():
+        raise ValueError(f"waveform plot needs a finite (T, K) array, T >= 2, got shape {x.shape}")
     n_samples, n_channels = x.shape
-    peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        peak = 1.0
+    peak = float(np.max(np.abs(x))) or 1.0
     plot_w = _WIDTH - 2 * _MARGIN
     half = (_PANEL_HEIGHT - 10) / 2.0
     mids = _MARGIN + np.arange(n_channels) * _PANEL_HEIGHT + _PANEL_HEIGHT / 2.0
+    y = mids - half * (x / peak)
     t = np.arange(n_samples)
-    xs = ["%.2f," % v for v in (_MARGIN + plot_w * t / (n_samples - 1)).tolist()]
-    ys = _format_each(mids - half * x / peak, "%.2f").T.tolist()
+    column = np.minimum(plot_w * t // (n_samples - 1), plot_w - 1)
+    starts = np.flatnonzero(np.diff(column, prepend=-1))
+    widths = np.diff(starts, append=n_samples)
+    keep = np.zeros(x.shape, dtype=bool)
+    keep[starts] = keep[starts + widths - 1] = True
+    for extreme in (np.minimum, np.maximum):
+        hit = y == np.repeat(extreme.reduceat(y, starts), widths, axis=0)
+        first = np.minimum.reduceat(np.where(hit, t[:, None], n_samples), starts)
+        keep[first, np.arange(n_channels)] = True
+    ks, ts = np.nonzero(keep.T)
+    xs = _format_each(_MARGIN + plot_w * ts / (n_samples - 1), "%.2f,")
+    pts = xs + _format_each(y[ts, ks], "%.2f")
     body = []
     for k, mid in enumerate(mids.tolist()):
-        body.append(
+        body += [
             f'<line x1="{_MARGIN}" y1="{mid:.2f}" x2="{_WIDTH - _MARGIN}" y2="{mid:.2f}" '
-            f'stroke="#bbbbbb" stroke-width="1"/>'
-        )
-        pts = " ".join(map(str.__add__, xs, ys[k]))
-        body.append(f'<polyline points="{pts}" fill="none" stroke="#1f4e8c" stroke-width="1"/>')
-        body.append(
+            f'stroke="#bbbbbb" stroke-width="1"/>',
+            f'<polyline points="{" ".join(pts[ks == k].tolist())}" fill="none" '
+            f'stroke="#1f4e8c" stroke-width="1"/>',
             f'<text x="{_MARGIN}" y="{mid - half - 2:.2f}" font-size="11" '
-            f'fill="#333333">ch{k + 1}</text>'
-        )
+            f'fill="#333333">ch{k + 1}</text>',
+        ]
     return _svg(_WIDTH, 2 * _MARGIN + n_channels * _PANEL_HEIGHT, body)
 
 

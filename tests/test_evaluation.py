@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -240,6 +241,24 @@ def test_align_refuses_non_finite_input(side, bad):
         signals[17, 1] = bad
         with pytest.raises(ValueError, match=rf"^{side} column 1 holds NaN or inf$"):
             align_and_score(truth, est)
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        [1e308, 1e308, 0.0, 5.0],  # the mean overflows: C read nan
+        [1e200, -1e200, 0.0, 5.0],  # v @ v overflows: C read -0.0 with a RuntimeWarning
+    ],
+)
+@pytest.mark.parametrize("side", ["truth", "estimates"])
+def test_align_refuses_a_column_too_large_to_score(side, probe):
+    ramp = np.column_stack([np.arange(1.0, 5.0), [4.0, 1.0, 3.0, 2.0]])
+    signals = {"truth": ramp.copy(), "estimates": ramp.copy()}
+    signals[side][:, 1] = probe
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{side} column 1 is too large to score"):
+            align_and_score(signals["truth"], signals["estimates"])
 
 
 def test_align_input_validation():

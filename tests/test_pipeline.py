@@ -205,6 +205,18 @@ def test_shipped_experiments_degrade_with_overlap():
         assert by_true_2[t] < by_true_1[t]
 
 
+def test_wrong_pairs_also_occur_with_two_active_sources():
+    # column ratios 0.5, 1.8 and 2.0: where the 0.5 and 2.0 sources co-fire,
+    # the 1.8 column lies between them and nearest-angle selection picks it
+    result = run_experiment(
+        load_config(CONFIGS_DIR / "experiment2.cfg", seed_override=0),
+        write_files=False,
+        verbose=False,
+    )
+    assert result.max_simultaneous == 2
+    assert result.wrong_pair_count > 0
+
+
 # sha256 of every artifact `ubss run` writes for the shipped configs; a change
 # that alters a single artifact byte has to update these deliberately
 SHIPPED_DIGESTS = {
@@ -213,24 +225,24 @@ SHIPPED_DIGESTS = {
         "histogram.csv": "827417833482d26e99c2b4a2f6264f891bc410b2d2a1d00f6c98346e0e6c1fa9",
         "histogram.svg": "49049ec82c4af2f5ef1f95a46238d7585dd573e02eacb1a534e481fa32d83753",
         "mixtures.csv": "ef7ceaf40df9daf5451dc6eaabefee9944c5dc2c2c4468256ad4c36c94412639",
-        "mixtures.svg": "7afd20ec6e9f030145d158d613ebf04a9c825593f4c34f46660cf6d7ef0270f4",
+        "mixtures.svg": "e3d6f2db1ea00ab1327ada267c41e2c77269923f0a254980e1ab582cf0f4097e",
         "report.csv": "ff896b45ac7039fba6b37b398840ceebdb14587e0835ad97a88fd0cf434e0ea3",
         "separated.csv": "216f4c25d655cd8e16802a93edfacb819a468b5bc6ebec7952fd3a6147310488",
-        "separated.svg": "c80e88e50c68edc5e5361214a233737961cb8d3e25ba9358b66bb77ddf1272c3",
+        "separated.svg": "5acec386858dc2dd65eeaaec234217f27babacb3c7b38a8d5b6d726384b132db",
         "sources.csv": "a5289d8d5255e71aefbb382b69f2ac9b7363173d00a9006678b0431235a43aca",
-        "sources.svg": "b8333ab136b60a66ec78b5c1fc0647abb6c8dddf795745991dd5c2d2f50a2903",
+        "sources.svg": "0f17be71be68ec3ed390c42397a7022bc439e5d0ae12c430cdf5eb4748cf3b3e",
     },
     "experiment2": {
         "estimated_matrix.csv": "461233d9888ecb2d33c22b66f6c9ea52eabb711a9d35d0f5d2c965613d4b14de",
         "histogram.csv": "070edcf2c74bacc3453ab9848ff6db6a68fe08dc79d09933c039cfcc0b03fde3",
         "histogram.svg": "33381c90c1f28c104c128a8aa4b126c5f333edf1181d8855d65c2bef39a2304d",
         "mixtures.csv": "e4b20b24926f70baad1d028ce60d37f50120a225afad1d088179a2572b5c159b",
-        "mixtures.svg": "fa140590847e3a6611949494baab35ba0d9c5034d00a57cbd17c338b4dac45a4",
+        "mixtures.svg": "fdd3d10b0b6490cc789376090e2fba0e1e8804e94ed8e2a5ccc627a48f36c8ff",
         "report.csv": "f372445d505800ad3f7fab2f79182308c5b259cb1f9382e6a60202967aefb6ee",
         "separated.csv": "0f9060498d37f61721d27efc25d4bbdf437cf9e8e07f0045d2f86f049d617ac8",
-        "separated.svg": "8c53e763facc96c89fe7e3562e9bb65e8b392119ab2e94f541d09ec084e3bf06",
+        "separated.svg": "1c5f937283a06c73ba2b25e155e4e35b6cac6e2aae7f65af0c2d7a6be49b3f4d",
         "sources.csv": "43c4aced374bf54937fa7e14790c94b00dc714a22f14a1577928ebb9310958d2",
-        "sources.svg": "21f34167de39f1c9a291f45cabfbec1c55353ed86920da03816c90fc44b93bdd",
+        "sources.svg": "e340ffed9bcf346f335d98e0c7fdf1a2a80159e73a4a7ac82dc215ab584214a5",
     },
 }
 
