@@ -9,38 +9,18 @@ closest to the sample's own angle, and the corresponding 2x2 system is solved
 exactly, all other sources being zero at that sample.
 """
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    default_activity_eps,
-    load_config,
-    random_mixing,
-)
+from .config import ConfigError, ExperimentConfig, load_config
 from .estimation import (
     EstimatedMatrix,
     RatioHistogram,
     build_histogram,
     compute_ratios,
     estimate_mixing,
-    export_bar_graph,
 )
-from .evaluation import (
-    SeparationReport,
-    align_and_score,
-    count_uncovered,
-    max_simultaneous_sources,
-)
+from .evaluation import SeparationReport, align_and_score
 from .pipeline import ExperimentResult, run_experiment
-from .recovery import column_angles, separate
-from .signals import (
-    OverlapMode,
-    PulseSpec,
-    ThUwbConfig,
-    generate_sources,
-    mix,
-    pulse_shape,
-    validate_mixing_matrix,
-)
+from .recovery import separate
+from .signals import OverlapMode, PulseSpec, ThUwbConfig, generate_sources, mix
 
 __version__ = "0.1.0"
 
@@ -56,19 +36,11 @@ __all__ = [
     "ThUwbConfig",
     "align_and_score",
     "build_histogram",
-    "column_angles",
     "compute_ratios",
-    "count_uncovered",
-    "default_activity_eps",
     "estimate_mixing",
-    "export_bar_graph",
     "generate_sources",
     "load_config",
-    "max_simultaneous_sources",
     "mix",
-    "pulse_shape",
-    "random_mixing",
     "run_experiment",
     "separate",
-    "validate_mixing_matrix",
 ]

@@ -107,9 +107,8 @@ def main(argv=None) -> int:
             pipeline.stage_mix(cfg, src, out)
         elif args.command == "estimate":
             mx = args.mixtures if args.mixtures else out / pipeline.MIXTURES_CSV
-            hist, est = pipeline.stage_estimate(cfg, mx, out)
-            print(f"sources estimated: {est.n_sources}")
-            print("ratios: " + ", ".join(f"{r:.4f}" for r in est.ratios))
+            _, est = pipeline.stage_estimate(cfg, mx, out)
+            pipeline.print_summary(est)
         elif args.command == "separate":
             mx = args.mixtures if args.mixtures else out / pipeline.MIXTURES_CSV
             mat = args.matrix if args.matrix else out / pipeline.MATRIX_CSV
@@ -117,11 +116,7 @@ def main(argv=None) -> int:
         elif args.command == "score":
             src = args.sources if args.sources else out / pipeline.SOURCES_CSV
             sep = args.separated if args.separated else out / pipeline.SEPARATED_CSV
-            report = pipeline.stage_score(src, sep, out)
-            coeffs = iter(report.coefficients)
-            for e, t in enumerate(report.permutation):
-                if t is not None:
-                    print(f"estimate {e + 1} -> source {t + 1}: C = {next(coeffs):.4f}")
+            pipeline.print_summary(report=pipeline.stage_score(src, sep, out))
         return 0
     except (ValueError, OSError) as exc:
         print(f"ubss {args.command}: {exc}", file=sys.stderr)

@@ -22,18 +22,17 @@ Config files are flat key-value text with section headers, for example:
     overlap_mode = at_most_two
     output_dir = out/exp1
 
-Matrix rows are separated by semicolons, entries by whitespace.  The matrix
-value "random" draws a reproducible matrix instead (optional key: seed).
-Every pulse is chip_len samples wide.  [run] overlap_mode (default
-at_most_two) joins the [signal] values in the ThUwbConfig layout, which
-checks that at_most_two has enough chips.  Unknown sections and keys are
-refused.  activity_eps may be set to an absolute threshold; by default every
-stage derives it as 1e-6 times the largest |x1| it sees.
+_KEYS lists every key; unknown ones are refused.  Matrix rows are separated
+by semicolons, entries by whitespace; "random" draws a reproducible matrix
+instead ([mixing] seed, by default the signal seed).  Every pulse is
+chip_len samples wide.  Without activity_eps every stage derives it as 1e-6
+times the largest |x1| it sees.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +40,6 @@ import numpy as np
 
 from .signals import OverlapMode, PulseSpec, ThUwbConfig, validate_mixing_matrix
 
-DEFAULT_QUANTUM = 1e-4
-DEFAULT_PEAK_FRACTION = 0.1
 ACTIVITY_REL = 1e-6
 SEED_ENV_VAR = "UBSS_SEED"
 
@@ -57,8 +54,8 @@ class ExperimentConfig:
     pulses: list[PulseSpec]
     mixing: np.ndarray
     output_dir: Path
-    quantum: float = DEFAULT_QUANTUM
-    peak_fraction: float = DEFAULT_PEAK_FRACTION
+    quantum: float = 1e-4
+    peak_fraction: float = 0.1
     activity_eps: float | None = None
 
     def __post_init__(self) -> None:
@@ -75,12 +72,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[signal] {len(self.pulses)} pulse specs for {self.th_uwb.n_sources} sources"
             )
-        if not self.quantum > 0.0:
-            raise ConfigError(f"quantum must be positive, got {self.quantum}")
+        if not 0.0 < self.quantum < np.inf:
+            raise ConfigError(f"quantum must be positive and finite, got {self.quantum}")
         if not 0.0 < self.peak_fraction < 1.0:
             raise ConfigError(f"peak_fraction must lie in (0, 1), got {self.peak_fraction}")
-        if self.activity_eps is not None and not self.activity_eps > 0.0:
-            raise ConfigError(f"activity_eps must be positive, got {self.activity_eps}")
+        if self.activity_eps is not None and not 0.0 < self.activity_eps < np.inf:
+            raise ConfigError(
+                f"activity_eps must be positive and finite, got {self.activity_eps}"
+            )
 
 
 def default_activity_eps(x1: np.ndarray) -> float:
@@ -98,21 +97,17 @@ def random_mixing(n_sources: int, seed: int) -> np.ndarray:
     first-row-normalized ratios differ by at least 0.05, keeping the ratio
     histogram modes distinguishable; such a draw is a valid mixing matrix.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng([seed, 0xA])
     a = rng.uniform(0.1, 1.0, size=(2, n_sources))
     for _ in range(1000):
         ratios = a[1] / a[0]
-        bad = None
-        for i in range(n_sources):
-            for j in range(i + 1, n_sources):
-                if abs(ratios[i] - ratios[j]) < 0.05:
-                    bad = j
-                    break
-            if bad is not None:
-                break
-        if bad is None:
+        close = next((j for i, j in itertools.combinations(range(n_sources), 2)
+                      if abs(ratios[i] - ratios[j]) < 0.05), None)
+        if close is None:
             return a
-        a[:, bad] = rng.uniform(0.1, 1.0, size=2)
+        a[:, close] = rng.uniform(0.1, 1.0, size=2)
     raise ConfigError("could not draw a mixing matrix with separated column ratios")
 
 
@@ -133,37 +128,43 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array(rows)
 
 
-_KNOWN_KEYS = {
-    "signal": {"chip_len", "frame_len", "total_len", "n_sources", "seed", "occupancy",
-               "pulse_orders", "pulse_amplitudes"},
-    "mixing": {"matrix", "seed"},
-    "estimation": {"quantum", "peak_fraction", "activity_eps"},
-    "run": {"overlap_mode", "output_dir"},
+def _list(cast):
+    """Parser of a comma- or space-separated list of cast values."""
+    return lambda raw: [cast(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _matrix(raw: str) -> np.ndarray | None:
+    """The matrix the value spells, or None for "random" (draw one)."""
+    return None if raw.strip().lower() == "random" else parse_matrix(raw)
+
+
+# Every key of a config file and the parser of its value, per section:
+# (required keys, optional keys).  It is also the list of known keys.  An
+# optional key missing from the file is not passed on, so its default lives
+# on the object that checks it (ThUwbConfig, ExperimentConfig); the one
+# exception, overlap_mode, is named in load_config.
+_KEYS = {
+    "signal": (
+        {"chip_len": int, "frame_len": int, "total_len": int, "n_sources": int, "seed": int},
+        {"occupancy": float, "pulse_orders": _list(int), "pulse_amplitudes": _list(float)},
+    ),
+    "mixing": ({}, {"matrix": _matrix, "seed": int}),
+    "estimation": ({}, {"quantum": float, "peak_fraction": float, "activity_eps": float}),
+    "run": ({"output_dir": Path}, {"overlap_mode": OverlapMode}),
 }
 
 
-def _get(section, key, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"[{section.name}] is missing required key {key!r}")
-        return default
-    raw = section[key]
+def _parse(section: str, key: str, parse, raw: str):
     try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r}: {exc}") from None
+        return parse(raw)
+    except ConfigError as exc:  # parse_matrix names the faulty row itself
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
-
-
-def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    """Read an experiment config file; seed_override replaces the file seed."""
+def _read(path, seed_override: int | None) -> dict[str, dict]:
+    """Every key the file sets, parsed through _KEYS: section -> key -> value."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -173,66 +174,52 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
 
-    unknown = [f"[{name}]" for name in parser.sections() if name not in _KNOWN_KEYS]
-    unknown += [
-        f"[{name}] {key}"
-        for name, known in _KNOWN_KEYS.items() if name in parser
-        for key in parser[name] if key not in known
-    ]
+    unknown = [f"[{name}]" for name in parser.sections() if name not in _KEYS]
+    unknown += [f"[{name}] {key}" for name, (req, opt) in _KEYS.items() if name in parser
+                for key in parser[name] if key not in req | opt]
     if unknown:
         raise ConfigError(f"config {path} has unknown entries: {', '.join(unknown)}")
-    for name in ("signal", "run"):
-        if name not in parser:
-            raise ConfigError(f"config {path} is missing the [{name}] section")
-    sig = parser["signal"]
-    seed = seed_override if seed_override is not None else _get(sig, "seed", int, required=True)
-    layout = {key: _get(sig, key, int, required=True)
-              for key in ("chip_len", "frame_len", "total_len", "n_sources")}
-    layout["occupancy"] = _get(sig, "occupancy", float, default=1.0)
-    run = parser["run"]
-    mode_raw = _get(run, "overlap_mode", str, default=OverlapMode.AT_MOST_TWO.value)
-    try:
-        mode = OverlapMode(mode_raw)
-    except ValueError:
-        valid = ", ".join(m.value for m in OverlapMode)
-        raise ConfigError(f"[run] overlap_mode must be one of {valid}, got {mode_raw!r}") from None
-    try:
-        th = ThUwbConfig(**layout, seed=seed, overlap_mode=mode)
-    except ValueError as exc:
-        raise ConfigError(f"[signal]: {exc}") from None
+    if seed_override is not None and "signal" in parser:
+        parser["signal"]["seed"] = str(seed_override)
 
-    orders = _get(sig, "pulse_orders", _int_list, default=[k % 3 for k in range(th.n_sources)])
-    amplitudes = _get(sig, "pulse_amplitudes", _float_list, default=[1.0] * th.n_sources)
-    if len(orders) != th.n_sources or len(amplitudes) != th.n_sources:
-        raise ConfigError(
-            f"[signal] pulse_orders/pulse_amplitudes must list {th.n_sources} values"
-        )
+    values = {}
+    for name, (required, optional) in _KEYS.items():
+        if required and name not in parser:
+            raise ConfigError(f"config {path} is missing the [{name}] section")
+        section = parser[name] if name in parser else {}
+        missing = [key for key in required if key not in section]
+        if missing:
+            raise ConfigError(f"[{name}] is missing required key {missing[0]!r}")
+        values[name] = {key: _parse(name, key, parse, section[key])
+                        for key, parse in (required | optional).items() if key in section}
+    return values
+
+
+def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
+    """Read an experiment config file; seed_override replaces the file seed."""
+    values = _read(path, seed_override)
+    signal, mixing, run = values["signal"], values["mixing"], values["run"]
+    n = signal["n_sources"]
+    orders = signal.pop("pulse_orders", [k % 3 for k in range(n)])
+    amplitudes = signal.pop("pulse_amplitudes", [1.0] * n)
+    # A file without overlap_mode means at_most_two, the paper's capped
+    # setting; a layout built in code defaults to allow_three.
+    mode = run.get("overlap_mode", OverlapMode.AT_MOST_TWO)
     try:
+        th = ThUwbConfig(**signal, overlap_mode=mode)
         pulses = [PulseSpec(order=o, amplitude=amp) for o, amp in zip(orders, amplitudes)]
     except ValueError as exc:
         raise ConfigError(f"[signal]: {exc}") from None
+    if len(orders) != n or len(amplitudes) != n:
+        raise ConfigError(f"[signal] pulse_orders/pulse_amplitudes must list {n} values")
 
-    mx = parser["mixing"] if "mixing" in parser else {}
-    raw = mx.get("matrix", "random").strip()
-    draw_seed = _get(mx, "seed", int, default=seed)
-    if raw.lower() == "random":
-        mixing = random_mixing(th.n_sources, draw_seed)
-    else:
+    matrix = mixing.get("matrix")
+    if matrix is None:
         try:
-            mixing = parse_matrix(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"[mixing] matrix: {exc}") from None
-
-    est = parser["estimation"] if "estimation" in parser else {}
-
-    out_dir = Path(_get(run, "output_dir", str, required=True))
-
+            matrix = random_mixing(n, mixing.get("seed", th.seed))
+        except ValueError as exc:
+            raise ConfigError(f"[mixing] {exc}") from None
     return ExperimentConfig(
-        th_uwb=th,
-        pulses=pulses,
-        mixing=mixing,
-        output_dir=out_dir,
-        quantum=_get(est, "quantum", float, default=DEFAULT_QUANTUM),
-        peak_fraction=_get(est, "peak_fraction", float, default=DEFAULT_PEAK_FRACTION),
-        activity_eps=_get(est, "activity_eps", float),
+        th_uwb=th, pulses=pulses, mixing=matrix, output_dir=run["output_dir"],
+        **values["estimation"],
     )

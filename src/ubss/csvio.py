@@ -1,4 +1,4 @@
-"""CSV serialization for pipeline artifacts.
+"""Artifact output: CSV serialization, and the one writer of every text file.
 
 Signals are stored one column per channel, one row per sample, with a header
 row.  Floats are written with 17 significant digits so a read back reproduces
@@ -10,8 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimation import EstimatedMatrix
+from .estimation import EstimatedMatrix, RatioHistogram
 from .evaluation import SeparationReport
+
+
+def write_text(path, text: str) -> None:
+    """Write text as is, with no newline translation."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
+def _write_lines(path, lines) -> None:
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _fmt(v: float) -> str:
@@ -32,8 +42,7 @@ def write_signals(path, signals: np.ndarray) -> None:
         raise ValueError(f"signals must be 2-D, got shape {x.shape}")
     header = ",".join(f"ch{k + 1}" for k in range(x.shape[1]))
     rows = map(",".join, _format_each(x, "%.17g").tolist())
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+    _write_lines(path, [header, *rows])
 
 
 def read_signals(path) -> np.ndarray:
@@ -67,10 +76,7 @@ def read_signals(path) -> np.ndarray:
 
 
 def write_estimated_matrix(path, est: EstimatedMatrix) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("ratio\n")
-        for r in est.ratios:
-            fh.write(_fmt(r) + "\n")
+    _write_lines(path, ["ratio", *map(_fmt, est.ratios)])
 
 
 def read_estimated_matrix(path) -> EstimatedMatrix:
@@ -91,10 +97,13 @@ def read_estimated_matrix(path) -> EstimatedMatrix:
 
 
 def write_report(path, report: SeparationReport) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("estimate_idx,true_idx,correlation\n")
-        coeffs = iter(report.coefficients)
-        for e, t in enumerate(report.permutation):
-            if t is None:
-                continue
-            fh.write(f"{e},{t},{_fmt(next(coeffs))}\n")
+    coeffs = iter(report.coefficients)
+    rows = [f"{e},{t},{_fmt(next(coeffs))}" for e, t in enumerate(report.permutation)
+            if t is not None]
+    _write_lines(path, ["estimate_idx,true_idx,correlation", *rows])
+
+
+def export_bar_graph(hist: RatioHistogram, path) -> None:
+    """Write the histogram as CSV rows "ratio,count", ratios ascending."""
+    rows = [f"{key:.4f},{hist.bins[key]}" for key in sorted(hist.bins)]
+    _write_lines(path, ["ratio,count", *rows])

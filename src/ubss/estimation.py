@@ -43,19 +43,14 @@ class EstimatedMatrix:
     def n_sources(self) -> int:
         return int(self.ratios.size)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 2 x N estimation matrix [ones; ratios]."""
-        return np.vstack([np.ones_like(self.ratios), self.ratios])
-
 
 def compute_ratios(mixtures: np.ndarray, activity_eps: float) -> np.ndarray:
     """Ratios x2/x1 at samples where |x1| exceeds activity_eps, in time order."""
     x = np.asarray(mixtures, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError(f"ratio estimation needs exactly 2 mixture channels, got shape {x.shape}")
-    if not activity_eps > 0.0:
-        raise ValueError(f"activity_eps must be positive, got {activity_eps}")
+    if not 0.0 < activity_eps < np.inf:
+        raise ValueError(f"activity_eps must be positive and finite, got {activity_eps}")
     keep = np.abs(x[:, 0]) > activity_eps
     return x[keep, 1] / x[keep, 0]
 
@@ -71,8 +66,8 @@ def build_histogram(ratios: np.ndarray, quantum: float) -> RatioHistogram:
     r = np.asarray(ratios, dtype=float)
     if r.ndim != 1:
         raise ValueError(f"ratios must be 1-D, got shape {r.shape}")
-    if not quantum > 0.0:
-        raise ValueError(f"quantum must be positive, got {quantum}")
+    if not 0.0 < quantum < np.inf:
+        raise ValueError(f"quantum must be positive and finite, got {quantum}")
     bad = np.flatnonzero(~np.isfinite(r))
     if bad.size:
         raise ValueError(f"non-finite ratio at index {int(bad[0])}")
@@ -120,12 +115,3 @@ def estimate_mixing(hist: RatioHistogram, peak_fraction: float = 0.1) -> Estimat
     cutoff = peak_fraction * merged[0][1]
     selected = [(n, c) for n, c in merged if c >= cutoff]
     return EstimatedMatrix(np.array([float(n) * hist.quantum for n, _ in selected]))
-
-
-def export_bar_graph(hist: RatioHistogram, path) -> None:
-    """Write the histogram as CSV rows "ratio,count", ratios ascending."""
-    lines = ["ratio,count"]
-    for key in sorted(hist.bins):
-        lines.append(f"{key:.4f},{hist.bins[key]}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -16,13 +16,13 @@ import numpy as np
 
 from . import csvio, svgplot
 from .config import ExperimentConfig, default_activity_eps
+from .csvio import export_bar_graph
 from .estimation import (
     EstimatedMatrix,
     RatioHistogram,
     build_histogram,
     compute_ratios,
     estimate_mixing,
-    export_bar_graph,
 )
 from .evaluation import (
     SeparationReport,
@@ -65,11 +65,6 @@ def build_sources(cfg: ExperimentConfig) -> np.ndarray:
     return generate_sources(cfg.th_uwb, cfg.pulses)
 
 
-def _write_svg(path, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def _write_artifacts(
     out_dir, *, sources=None, mixtures=None, estimate=None, separated=None, report=None
 ) -> Path:
@@ -87,15 +82,29 @@ def _write_artifacts(
     ):
         if signals is not None:
             csvio.write_signals(out / csv_name, signals)
-            _write_svg(out / svg_name, svgplot.waveform_svg(signals))
+            csvio.write_text(out / svg_name, svgplot.waveform_svg(signals))
     if estimate is not None:
         hist, est = estimate
         export_bar_graph(hist, out / HISTOGRAM_CSV)
-        _write_svg(out / HISTOGRAM_SVG, svgplot.bar_graph_svg(hist))
+        csvio.write_text(out / HISTOGRAM_SVG, svgplot.bar_graph_svg(hist))
         csvio.write_estimated_matrix(out / MATRIX_CSV, est)
     if report is not None:
         csvio.write_report(out / REPORT_CSV, report)
     return out
+
+
+def print_summary(est=None, report=None, wrong: int | None = None, max_sim: int = 0) -> None:
+    """The one printer of the run, estimate and score summaries: prints the parts given."""
+    if est is not None:
+        print(f"sources estimated: {est.n_sources}")
+        print("ratios: " + ", ".join(f"{r:.4f}" for r in est.ratios))
+    if report is not None:
+        coeffs = iter(report.coefficients)
+        for e, t in enumerate(report.permutation):
+            match = ": unmatched" if t is None else f" -> source {t + 1}: C = {next(coeffs):.4f}"
+            print(f"  estimate {e + 1}{match}")
+    if wrong is not None:
+        print(f"wrong-pair samples: {wrong} (max simultaneous sources: {max_sim})")
 
 
 def _resolve_eps(cfg: ExperimentConfig, x1: np.ndarray) -> float:
@@ -176,15 +185,7 @@ def run_experiment(
         )
 
     if verbose:
-        print(f"sources estimated: {est.n_sources}")
-        print("ratios: " + ", ".join(f"{r:.4f}" for r in est.ratios))
-        coeffs = iter(report.coefficients)
-        for e, t in enumerate(report.permutation):
-            if t is None:
-                print(f"  estimate {e + 1}: unmatched")
-            else:
-                print(f"  estimate {e + 1} -> source {t + 1}: C = {next(coeffs):.4f}")
-        print(f"wrong-pair samples: {wrong} (max simultaneous sources: {max_sim})")
+        print_summary(est, report, wrong, max_sim)
 
     return ExperimentResult(
         sources=sources,

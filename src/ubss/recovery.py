@@ -17,11 +17,6 @@ from .estimation import EstimatedMatrix
 DEGENERATE_TOL = 1e-12
 
 
-def column_angles(est: EstimatedMatrix) -> np.ndarray:
-    """Direction angle arctan(r) of every estimated column, in (-pi/2, pi/2)."""
-    return np.arctan(est.ratios)
-
-
 def separate(
     mixtures: np.ndarray,
     est: EstimatedMatrix,
@@ -37,8 +32,8 @@ def separate(
     x = np.asarray(mixtures, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
         raise ValueError(f"separation needs exactly 2 mixture channels, got shape {x.shape}")
-    if not activity_eps > 0.0:
-        raise ValueError(f"activity_eps must be positive, got {activity_eps}")
+    if not 0.0 < activity_eps < np.inf:
+        raise ValueError(f"activity_eps must be positive and finite, got {activity_eps}")
     if est.n_sources < 2:
         raise ValueError("separation needs at least 2 estimated columns")
 
@@ -54,7 +49,7 @@ def separate(
         ratio = np.divide(x2a, x1a, out=np.zeros_like(x2a), where=nonzero)
         theta = np.arctan(ratio)
         theta[~nonzero] = np.pi / 2
-        dist = np.abs(theta[:, None] - column_angles(est)[None, :])
+        dist = np.abs(theta[:, None] - np.arctan(est.ratios)[None, :])
         nearest = np.argsort(dist, axis=1, kind="stable")[:, :2]
         i, j = nearest[:, 0], nearest[:, 1]
         a_i, a_j = est.ratios[i], est.ratios[j]

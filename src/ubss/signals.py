@@ -22,6 +22,11 @@ class OverlapMode(enum.Enum):
     AT_MOST_TWO = "at_most_two"
     ALLOW_THREE = "allow_three"
 
+    @classmethod
+    def _missing_(cls, value):
+        valid = ", ".join(m.value for m in cls)
+        raise ValueError(f"overlap_mode must be one of {valid}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PulseSpec:

@@ -22,11 +22,11 @@ from ubss import (
     generate_sources,
     load_config,
     mix,
-    pulse_shape,
-    random_mixing,
     run_experiment,
     separate,
 )
+from ubss.config import random_mixing
+from ubss.signals import pulse_shape
 from ubss import pipeline
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

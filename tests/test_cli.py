@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ubss import pipeline
 from ubss.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CFG = """\
 [signal]
@@ -79,6 +83,32 @@ def test_estimate_and_score_print_summaries(tmp_path, capsys):
     assert "C = " in out
 
 
+def test_score_prints_the_lines_run_prints(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    assert main(["run", cfg]) == 0
+    run_lines = capsys.readouterr().out.splitlines()
+    assert main(["score", cfg]) == 0
+    assert capsys.readouterr().out.splitlines() == [s for s in run_lines if s.startswith("  ")]
+    # a fourth estimate matches no source, and score says so as run does
+    matrix = tmp_path / "four.csv"
+    matrix.write_text("ratio\n2.0\n0.1667\n1.6667\n-3.0\n")
+    assert main(["separate", cfg, "--matrix", str(matrix)]) == 0
+    assert main(["score", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 4
+    assert sum(s.endswith(": unmatched") for s in out) == 1
+    assert all(s.startswith("  estimate ") for s in out)
+
+
+def test_readme_run_sample_is_real_output(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text()
+    intro = "`run` executes the full pipeline and prints a summary:\n\n```\n"
+    sample = readme[readme.index(intro) + len(intro):].split("```", 1)[0]
+    cfg = str(ROOT / "configs" / "experiment1.cfg")
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == sample
+
+
 def test_seed_flag_and_env(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path)
     src = pipeline.SOURCES_CSV
@@ -108,6 +138,11 @@ def test_flag_validation_errors(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["run", cfg, "--quantum", "-1"]) == 1
     assert "quantum must be positive" in capsys.readouterr().err
+    for flag in ("--quantum", "--activity-eps"):
+        for value in ("inf", "nan"):
+            assert main(["run", cfg, flag, value]) == 1
+            name = flag.removeprefix("--").replace("-", "_")
+            assert f"{name} must be positive and finite, got {value}" in capsys.readouterr().err
     assert main(["run", cfg, "--peak-fraction", "2"]) == 1
     assert "peak_fraction must lie in (0, 1)" in capsys.readouterr().err
     assert main(["run", cfg, "--activity-eps", "0"]) == 1
@@ -161,8 +196,17 @@ MATRIX = "0.4 0.6 0.3 ; 0.8 0.1 0.5"
         # at_most_two with 3 sources on 3 chips per frame
         ("frame_len = 40", "frame_len = 30",
          "[signal]: at_most_two needs at least 4 chips per frame, got 3"),
+        (MATRIX, "random\nseed = -5", "[mixing] seed must be a non-negative integer, got -5"),
+        ("[run]", "[estimation]\nquantum = inf\n\n[run]",
+         "quantum must be positive and finite, got inf"),
+        ("[run]", "[estimation]\nactivity_eps = inf\n\n[run]",
+         "activity_eps must be positive and finite, got inf"),
+        ("overlap_mode = at_most_two", "overlap_mode = sometimes",
+         "[run] overlap_mode = 'sometimes':"
+         " overlap_mode must be one of at_most_two, allow_three, got 'sometimes'"),
     ],
-    ids=["zero-first-row", "three-rows", "column-count", "at-most-two-chips"],
+    ids=["zero-first-row", "three-rows", "column-count", "at-most-two-chips", "mixing-seed",
+         "infinite-quantum", "infinite-activity-eps", "overlap-mode"],
 )
 def test_every_command_refuses_the_config_at_load(tmp_path, capsys, line, replacement, message):
     cfg = _write_cfg(tmp_path, BASE_CFG.replace(line, replacement))

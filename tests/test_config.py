@@ -1,3 +1,4 @@
+import re
 from functools import partial
 from pathlib import Path
 
@@ -12,11 +13,9 @@ from ubss import (
     OverlapMode,
     PulseSpec,
     ThUwbConfig,
-    default_activity_eps,
     load_config,
-    random_mixing,
 )
-from ubss.config import parse_matrix
+from ubss.config import default_activity_eps, parse_matrix, random_mixing
 from ubss.pipeline import build_sources
 
 FULL_CFG = """\
@@ -221,6 +220,38 @@ def test_load_config_overlap_mode(tmp_path):
         load_config(_write(tmp_path, bad))
 
 
+def test_overlap_mode_message_is_the_same_from_file_and_code(tmp_path):
+    bad = FULL_CFG.replace("overlap_mode = allow_three", "overlap_mode = sometimes")
+    with pytest.raises(ConfigError) as from_file:
+        load_config(_write(tmp_path, bad))
+    with pytest.raises(ValueError) as from_code:
+        ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=3, seed=0,
+                    overlap_mode="sometimes")
+    expected = "overlap_mode must be one of at_most_two, allow_three, got 'sometimes'"
+    assert str(from_code.value) == expected
+    assert str(from_file.value) == f"[run] overlap_mode = 'sometimes': {expected}"
+
+
+@pytest.mark.parametrize("key", ["quantum", "activity_eps"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_settings_are_refused(tmp_path, key, value):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FULL_CFG, flags=re.M)
+    with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {value}$"):
+        load_config(_write(tmp_path, text))
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=3, seed=0)
+    with pytest.raises(ConfigError, match=f"^{key} must be positive and finite"):
+        ExperimentConfig(th_uwb=th, pulses=[PulseSpec(order=0)] * 3,
+                         mixing=np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]]),
+                         output_dir=Path("unused"), **{key: value})
+
+
+def test_negative_mixing_seed_is_refused_at_load(tmp_path):
+    text = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "random\nseed = -5")
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, text))
+    assert str(info.value) == "[mixing] seed must be a non-negative integer, got -5"
+
+
 def test_config_error_is_value_error():
     assert issubclass(ConfigError, ValueError)
 
@@ -274,6 +305,34 @@ def test_random_mixing_reproducible_and_separated():
     ratios = np.sort(a[1] / a[0])
     assert np.min(np.diff(ratios)) >= 0.05
     assert not np.array_equal(a, random_mixing(4, 124))
+
+
+def _double_loop_random_mixing(n_sources, seed):
+    """random_mixing as it stood with a flag-and-break double loop: the oracle of its bits."""
+    rng = np.random.default_rng([seed, 0xA])
+    a = rng.uniform(0.1, 1.0, size=(2, n_sources))
+    for _ in range(1000):
+        ratios = a[1] / a[0]
+        bad = None
+        for i in range(n_sources):
+            for j in range(i + 1, n_sources):
+                if abs(ratios[i] - ratios[j]) < 0.05:
+                    bad = j
+                    break
+            if bad is not None:
+                break
+        if bad is None:
+            return a
+        a[:, bad] = rng.uniform(0.1, 1.0, size=2)
+    raise AssertionError("no draw")
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_sources=st.integers(1, 8), seed=st.integers(0, 2**32))
+def test_random_mixing_matches_the_double_loop(n_sources, seed):
+    assert random_mixing(n_sources, seed).tobytes() == (
+        _double_loop_random_mixing(n_sources, seed).tobytes()
+    )
 
 
 def test_default_activity_eps():

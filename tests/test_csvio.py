@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ubss import EstimatedMatrix, SeparationReport
+from ubss import EstimatedMatrix, SeparationReport, build_histogram
 from ubss.csvio import (
+    export_bar_graph,
     read_estimated_matrix,
     read_signals,
     write_estimated_matrix,
@@ -223,3 +224,10 @@ def test_write_report_skips_unmatched(tmp_path):
     path = tmp_path / "report.csv"
     write_report(path, report)
     assert path.read_text() == "estimate_idx,true_idx,correlation\n0,2,0.75\n2,0,-0.5\n"
+
+
+def test_export_bar_graph_format(tmp_path):
+    hist = build_histogram(np.array([1.8, 1.8, 0.5]), 1e-4)
+    path = tmp_path / "hist.csv"
+    export_bar_graph(hist, path)
+    assert path.read_text() == "ratio,count\n0.5000,1\n1.8000,2\n"

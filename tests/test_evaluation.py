@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ubss import align_and_score, count_uncovered, max_simultaneous_sources
-from ubss.evaluation import _correlation_table
+from ubss import align_and_score
+from ubss.evaluation import _correlation_table, count_uncovered, max_simultaneous_sources
 
 
 def correlation(x: np.ndarray, y: np.ndarray) -> float:

@@ -11,9 +11,7 @@ from ubss import (
     OverlapMode,
     PulseSpec,
     ThUwbConfig,
-    count_uncovered,
     load_config,
-    max_simultaneous_sources,
 )
 from ubss import pipeline
 from ubss.pipeline import (
@@ -25,6 +23,7 @@ from ubss.pipeline import (
     stage_score,
     stage_separate,
 )
+from ubss.evaluation import count_uncovered, max_simultaneous_sources
 from ubss.svgplot import waveform_svg
 
 ARTIFACTS = [

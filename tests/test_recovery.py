@@ -3,7 +3,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ubss import EstimatedMatrix, column_angles, separate
+from ubss import EstimatedMatrix, separate
 from ubss.recovery import DEGENERATE_TOL
 
 # Per-sample scalar reference of the vectorized separate(): one angle, one
@@ -59,11 +59,6 @@ def test_sample_angle_conventions():
         sample_angle(0.0, 0.0)
 
 
-def test_column_angles_match_arctan_of_ratios():
-    est = EstimatedMatrix(ratios=(2.0, 0.5, -1.0))
-    assert column_angles(est) == pytest.approx(np.arctan([2.0, 0.5, -1.0]))
-
-
 def test_select_base_pair_nearest_two():
     angles = np.arctan([0.5, 1.8, 2.0])
     # 1.9 sits between the 1.8 and 2.0 columns, slightly nearer 2.0
@@ -105,7 +100,7 @@ def test_solve_pair_rejects_coincident_ratios():
 def test_separate_matches_per_sample_oracle():
     rng = np.random.default_rng(21)
     est = EstimatedMatrix(ratios=(2.0, 0.5, -0.8))
-    angles = column_angles(est)
+    angles = np.arctan(est.ratios)
     x = rng.normal(size=(300, 2))
     x[rng.choice(300, size=30, replace=False), 0] = 0.0
     x[::50] = 0.0
@@ -152,8 +147,10 @@ def test_separate_input_validation():
         separate(np.ones((5, 3)), est, 1e-9)
     with pytest.raises(ValueError, match="at least 2 estimated columns"):
         separate(np.ones((5, 2)), EstimatedMatrix(ratios=(2.0,)), 1e-9)
-    with pytest.raises(ValueError, match="activity_eps must be positive"):
-        separate(np.ones((5, 2)), est, 0.0)
+    # an infinite threshold would leave every sample inactive and all-zero
+    for eps in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="activity_eps must be positive and finite"):
+            separate(np.ones((5, 2)), est, eps)
 
 
 def test_separate_rejects_near_duplicate_ratios():

@@ -8,11 +8,10 @@ from ubss import (
     PulseSpec,
     ThUwbConfig,
     generate_sources,
-    max_simultaneous_sources,
     mix,
-    pulse_shape,
-    validate_mixing_matrix,
 )
+from ubss.evaluation import max_simultaneous_sources
+from ubss.signals import pulse_shape, validate_mixing_matrix
 
 
 def test_pulse_spec_validation():
@@ -67,8 +66,9 @@ def test_th_uwb_config_validation():
         ThUwbConfig(**{**good, "seed": -1})
     with pytest.raises(ValueError, match="occupancy"):
         ThUwbConfig(**{**good, "occupancy": 1.5})
-    with pytest.raises(ValueError, match="not a valid OverlapMode"):
+    with pytest.raises(ValueError) as info:
         ThUwbConfig(**{**good, "overlap_mode": "sometimes"})
+    assert str(info.value) == "overlap_mode must be one of at_most_two, allow_three, got 'sometimes'"
     cfg = ThUwbConfig(**good)
     assert cfg.overlap_mode is OverlapMode.ALLOW_THREE
     assert ThUwbConfig(**good, overlap_mode="at_most_two").overlap_mode is OverlapMode.AT_MOST_TWO
