@@ -23,22 +23,35 @@ from pathlib import Path
 from . import pipeline
 from .config import SEED_ENV_VAR, ConfigError, load_config
 
+# Every flag: its type and help text.  --seed and the estimation flags
+# override the config, the others name files.
+_FLAGS = {
+    "seed": (int, "override the config seed"),
+    "quantum": (float, "ratio quantization step"),
+    "peak_fraction": (float, "histogram peak threshold"),
+    "activity_eps": (float, "absolute activity threshold"),
+    "sources": (str, "true sources CSV path"),
+    "mixtures": (str, "mixtures CSV path"),
+    "matrix": (str, "estimated matrix CSV path"),
+    "separated": (str, "separated signals CSV path"),
+    "out_dir": (Path, "override the output directory"),
+}
+_ESTIMATION = ("quantum", "peak_fraction", "activity_eps")
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    p.add_argument("config", help="experiment config file")
-    if "seed" in flags:
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    if "quantum" in flags:
-        p.add_argument("--quantum", type=float, default=None, help="ratio quantization step")
-    if "peak_fraction" in flags:
-        p.add_argument(
-            "--peak-fraction", type=float, default=None, help="histogram peak threshold"
-        )
-    if "activity_eps" in flags:
-        p.add_argument(
-            "--activity-eps", type=float, default=None, help="absolute activity threshold"
-        )
-    p.add_argument("--out-dir", default=None, help="override the output directory")
+# Every subcommand: its help text, the config flags it takes, and the CSVs it
+# reads, each a flag that defaults to that artifact in the output directory.
+# A command other than run calls pipeline.stage_<command>(cfg, *those CSVs).
+_COMMANDS = {
+    "run": ("full pipeline", ("seed", *_ESTIMATION), {}),
+    "generate": ("synthesize sources", ("seed",), {}),
+    "mix": ("mix sources", ("seed",), {"sources": pipeline.SOURCES_CSV}),
+    "estimate": ("estimate the mixing matrix", _ESTIMATION,
+                 {"mixtures": pipeline.MIXTURES_CSV}),
+    "separate": ("recover sources", ("activity_eps",),
+                 {"mixtures": pipeline.MIXTURES_CSV, "matrix": pipeline.MATRIX_CSV}),
+    "score": ("score separation against the truth", (),
+              {"sources": pipeline.SOURCES_CSV, "separated": pipeline.SEPARATED_CSV}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,24 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Blind separation of sparse pulse signals from two mixture channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("run", help="full pipeline"),
-                "seed", "quantum", "peak_fraction", "activity_eps")
-    _add_common(sub.add_parser("generate", help="synthesize sources"), "seed")
-    mix_p = sub.add_parser("mix", help="mix sources")
-    _add_common(mix_p, "seed")
-    mix_p.add_argument("--sources", default=None, help="sources CSV path")
-    est_p = sub.add_parser("estimate", help="estimate the mixing matrix")
-    _add_common(est_p, "quantum", "peak_fraction", "activity_eps")
-    est_p.add_argument("--mixtures", default=None, help="mixtures CSV path")
-    sep_p = sub.add_parser("separate", help="recover sources")
-    _add_common(sep_p, "activity_eps")
-    sep_p.add_argument("--mixtures", default=None, help="mixtures CSV path")
-    sep_p.add_argument("--matrix", default=None, help="estimated matrix CSV path")
-    score_p = sub.add_parser("score", help="score separation against the truth")
-    _add_common(score_p)
-    score_p.add_argument("--sources", default=None, help="true sources CSV path")
-    score_p.add_argument("--separated", default=None, help="separated signals CSV path")
+    for command, (text, flags, inputs) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("config", help="experiment config file")
+        for name in (*flags, *inputs, "out_dir"):
+            kind, flag_help = _FLAGS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=kind, help=flag_help)
     return parser
 
 
@@ -83,13 +84,10 @@ def _seed_override(args) -> int | None:
 def _load(args):
     cfg = load_config(args.config, seed_override=_seed_override(args))
     # ExperimentConfig validates the overridden values when replace rebuilds it
-    updates = {
-        key: getattr(args, key)
-        for key in ("quantum", "peak_fraction", "activity_eps")
-        if getattr(args, key, None) is not None
-    }
+    updates = {key: getattr(args, key) for key in _COMMANDS[args.command][1]
+               if key != "seed" and getattr(args, key) is not None}
     if args.out_dir is not None:
-        updates["output_dir"] = Path(args.out_dir)
+        updates["output_dir"] = args.out_dir
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -97,26 +95,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        out = cfg.output_dir
         if args.command == "run":
             pipeline.run_experiment(cfg)
-        elif args.command == "generate":
-            pipeline.stage_generate(cfg, out)
-        elif args.command == "mix":
-            src = args.sources if args.sources else out / pipeline.SOURCES_CSV
-            pipeline.stage_mix(cfg, src, out)
-        elif args.command == "estimate":
-            mx = args.mixtures if args.mixtures else out / pipeline.MIXTURES_CSV
-            _, est = pipeline.stage_estimate(cfg, mx, out)
-            pipeline.print_summary(est)
-        elif args.command == "separate":
-            mx = args.mixtures if args.mixtures else out / pipeline.MIXTURES_CSV
-            mat = args.matrix if args.matrix else out / pipeline.MATRIX_CSV
-            pipeline.stage_separate(cfg, mx, mat, out)
-        elif args.command == "score":
-            src = args.sources if args.sources else out / pipeline.SOURCES_CSV
-            sep = args.separated if args.separated else out / pipeline.SEPARATED_CSV
-            pipeline.print_summary(report=pipeline.stage_score(src, sep, out))
+        else:
+            inputs = [getattr(args, name) or cfg.output_dir / artifact
+                      for name, artifact in _COMMANDS[args.command][2].items()]
+            # looked up at call time, so a wrapped pipeline.stage_* is the one called
+            getattr(pipeline, "stage_" + args.command)(cfg, *inputs)
         return 0
     except (ValueError, OSError) as exc:
         print(f"ubss {args.command}: {exc}", file=sys.stderr)

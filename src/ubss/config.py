@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import OverlapMode, PulseSpec, ThUwbConfig, validate_mixing_matrix
+from .signals import OverlapMode, PulseSpec, ThUwbConfig, pulse_shape, validate_mixing_matrix
 
 ACTIVITY_REL = 1e-6
 SEED_ENV_VAR = "UBSS_SEED"
@@ -72,6 +72,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"[signal] {len(self.pulses)} pulse specs for {self.th_uwb.n_sources} sources"
             )
+        try:  # refuses a pulse that is identically zero at chip_len samples
+            for spec in self.pulses:
+                pulse_shape(spec, self.th_uwb.chip_len)
+        except ValueError as exc:
+            raise ConfigError(f"[signal]: {exc}") from None
         if not 0.0 < self.quantum < np.inf:
             raise ConfigError(f"quantum must be positive and finite, got {self.quantum}")
         if not 0.0 < self.peak_fraction < 1.0:

@@ -71,6 +71,11 @@ def build_histogram(ratios: np.ndarray, quantum: float) -> RatioHistogram:
     bad = np.flatnonzero(~np.isfinite(r))
     if bad.size:
         raise ValueError(f"non-finite ratio at index {int(bad[0])}")
+    # quantize casts the step count to int64; 2**62 quanta or more could wrap
+    big = np.flatnonzero(np.abs(r) >= 2.0**62 * quantum)
+    if big.size:
+        i = int(big[0])
+        raise ValueError(f"ratio {r[i]} at index {i} is too large for quantum {quantum}")
     steps, counts = np.unique(quantize(r, quantum), return_counts=True)
     bins = {float(n) * quantum: int(c) for n, c in zip(steps, counts)}
     return RatioHistogram(bins=bins, quantum=quantum, active_samples=int(r.size))

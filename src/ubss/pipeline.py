@@ -2,9 +2,10 @@
 
 run_experiment chains generation, mixing, matrix estimation, separation, and
 scoring, writing every artifact to the output directory.  The stage functions
-perform the same steps one at a time against CSV files; chaining them
-reproduces run_experiment's outputs byte for byte, because both compute
-through the same helpers and write every artifact through the same writer.
+perform the same steps one at a time: stage_<name>(cfg, *csv_paths) reads the
+CSVs it is given and writes into cfg.output_dir.  Chaining them reproduces
+run_experiment's outputs byte for byte, because both compute through the
+same helpers and write every artifact through the same writer.
 """
 
 from __future__ import annotations
@@ -107,49 +108,45 @@ def print_summary(est=None, report=None, wrong: int | None = None, max_sim: int 
         print(f"wrong-pair samples: {wrong} (max simultaneous sources: {max_sim})")
 
 
-def _resolve_eps(cfg: ExperimentConfig, x1: np.ndarray) -> float:
-    if cfg.activity_eps is not None:
-        return cfg.activity_eps
-    return default_activity_eps(x1)
-
-
 def _estimate(cfg: ExperimentConfig, mixtures: np.ndarray):
     """Activity threshold, ratio histogram and estimated matrix of the mixtures."""
-    eps = _resolve_eps(cfg, mixtures[:, 0])
+    eps = cfg.activity_eps or default_activity_eps(mixtures[:, 0])
     hist = build_histogram(compute_ratios(mixtures, eps), cfg.quantum)
     return eps, hist, estimate_mixing(hist, cfg.peak_fraction)
 
 
-def stage_generate(cfg: ExperimentConfig, out_dir) -> np.ndarray:
+def stage_generate(cfg: ExperimentConfig) -> np.ndarray:
     sources = build_sources(cfg)
-    _write_artifacts(out_dir, sources=sources)
+    _write_artifacts(cfg.output_dir, sources=sources)
     return sources
 
 
-def stage_mix(cfg: ExperimentConfig, sources_path, out_dir) -> np.ndarray:
+def stage_mix(cfg: ExperimentConfig, sources_path) -> np.ndarray:
     mixtures = mix(csvio.read_signals(sources_path), cfg.mixing)
-    _write_artifacts(out_dir, mixtures=mixtures)
+    _write_artifacts(cfg.output_dir, mixtures=mixtures)
     return mixtures
 
 
-def stage_estimate(cfg: ExperimentConfig, mixtures_path, out_dir):
+def stage_estimate(cfg: ExperimentConfig, mixtures_path):
     _, hist, est = _estimate(cfg, csvio.read_signals(mixtures_path))
-    _write_artifacts(out_dir, estimate=(hist, est))
+    _write_artifacts(cfg.output_dir, estimate=(hist, est))
+    print_summary(est)
     return hist, est
 
 
-def stage_separate(cfg: ExperimentConfig, mixtures_path, matrix_path, out_dir) -> np.ndarray:
+def stage_separate(cfg: ExperimentConfig, mixtures_path, matrix_path) -> np.ndarray:
     mixtures = csvio.read_signals(mixtures_path)
     est = csvio.read_estimated_matrix(matrix_path)
-    separated = separate(mixtures, est, _resolve_eps(cfg, mixtures[:, 0]))
-    _write_artifacts(out_dir, separated=separated)
+    separated = separate(mixtures, est, cfg.activity_eps or default_activity_eps(mixtures[:, 0]))
+    _write_artifacts(cfg.output_dir, separated=separated)
     return separated
 
 
-def stage_score(sources_path, separated_path, out_dir) -> SeparationReport:
+def stage_score(cfg: ExperimentConfig, sources_path, separated_path) -> SeparationReport:
     truth = csvio.read_signals(sources_path)
     report = align_and_score(truth, csvio.read_signals(separated_path))
-    _write_artifacts(out_dir, report=report)
+    _write_artifacts(cfg.output_dir, report=report)
+    print_summary(report=report)
     return report
 
 

@@ -1,10 +1,11 @@
+import argparse
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ubss import pipeline
-from ubss.cli import main
+from ubss import cli, pipeline
+from ubss.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -204,9 +205,12 @@ MATRIX = "0.4 0.6 0.3 ; 0.8 0.1 0.5"
         ("overlap_mode = at_most_two", "overlap_mode = sometimes",
          "[run] overlap_mode = 'sometimes':"
          " overlap_mode must be one of at_most_two, allow_three, got 'sometimes'"),
+        # an order-1 pulse one sample wide samples only its zero crossing
+        ("chip_len = 10\nframe_len = 40", "chip_len = 1\nframe_len = 4",
+         "[signal]: degenerate pulse: order 1 at width 1 is identically zero"),
     ],
     ids=["zero-first-row", "three-rows", "column-count", "at-most-two-chips", "mixing-seed",
-         "infinite-quantum", "infinite-activity-eps", "overlap-mode"],
+         "infinite-quantum", "infinite-activity-eps", "overlap-mode", "degenerate-pulse"],
 )
 def test_every_command_refuses_the_config_at_load(tmp_path, capsys, line, replacement, message):
     cfg = _write_cfg(tmp_path, BASE_CFG.replace(line, replacement))
@@ -254,3 +258,43 @@ def test_run_output_silent_on_stderr_when_ok(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["run", cfg]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_run_refuses_a_ratio_too_large_to_quantize(tmp_path, capsys):
+    # column 0's true ratio is 1e16, 1e20 quanta: cast to int64 it would wrap
+    # to a wrong-signed estimate
+    text = BASE_CFG.replace(MATRIX, "1e-16 0.6 0.3 ; 1 0.1 0.5")
+    cfg = _write_cfg(tmp_path, text.replace("[run]", "[estimation]\nactivity_eps = 1e-20\n\n[run]"))
+    assert main(["generate", cfg]) == 0 and main(["mix", cfg]) == 0
+    for command in ("run", "estimate"):
+        assert main([command, cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ubss {command}: ratio ")
+        assert "is too large for quantum 0.0001" in err
+
+
+# the flags of each subcommand, as the parser has always offered them
+FLAGS = {
+    "run": {"--seed", "--quantum", "--peak-fraction", "--activity-eps", "--out-dir"},
+    "generate": {"--seed", "--out-dir"},
+    "mix": {"--seed", "--sources", "--out-dir"},
+    "estimate": {"--quantum", "--peak-fraction", "--activity-eps", "--mixtures", "--out-dir"},
+    "separate": {"--activity-eps", "--mixtures", "--matrix", "--out-dir"},
+    "score": {"--sources", "--separated", "--out-dir"},
+}
+
+
+def test_each_subcommand_takes_exactly_its_flags(capsys):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(FLAGS)
+    for command, sub in subparsers.choices.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == FLAGS[command], command
+        positionals = [a.dest for a in sub._actions if not a.option_strings]
+        assert positionals == ["config"], command
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: ubss {command} ")
+        assert f"    ubss {command} CONFIG " in cli.__doc__, command

@@ -47,6 +47,19 @@ def test_build_histogram_rejects_bad_input():
             build_histogram(np.array([1.0]), quantum)
 
 
+def test_build_histogram_refuses_a_ratio_whose_step_would_wrap():
+    # 1e16 / 1e-4 = 1e20 quanta does not fit int64: the cast would wrap it to
+    # a wrong-signed key (-922337203685477.6)
+    ratios = np.array([0.5] * 10 + [1e16] * 10)
+    with pytest.raises(ValueError, match="ratio 1e\\+16 at index 10 is too large"):
+        build_histogram(ratios, Q)
+    with pytest.raises(ValueError, match="index 1 is too large"):
+        build_histogram(np.array([1.0, -(2.0**62)]), 1.0)
+    # just below the bound every ratio keeps its sign and magnitude
+    hist = build_histogram(np.array([2.0**61, -(2.0**61)]), 1.0)
+    assert sorted(hist.bins) == [-(2.0**61), 2.0**61]
+
+
 def test_estimate_mixing_merges_neighbor_bins():
     # mode at 1.8 with jitter one quantum either side; lone far bin drops out
     ratios = np.concatenate(

@@ -123,11 +123,12 @@ def test_stage_chain_reproduces_run_bytes(tmp_path):
     cfg = _cfg(tmp_path / "run")
     run_experiment(cfg, verbose=False)
     staged = tmp_path / "staged"
-    stage_generate(cfg, staged)
-    stage_mix(cfg, staged / pipeline.SOURCES_CSV, staged)
-    stage_estimate(cfg, staged / pipeline.MIXTURES_CSV, staged)
-    stage_separate(cfg, staged / pipeline.MIXTURES_CSV, staged / pipeline.MATRIX_CSV, staged)
-    stage_score(staged / pipeline.SOURCES_CSV, staged / pipeline.SEPARATED_CSV, staged)
+    cfg = _cfg(staged)
+    stage_generate(cfg)
+    stage_mix(cfg, staged / pipeline.SOURCES_CSV)
+    stage_estimate(cfg, staged / pipeline.MIXTURES_CSV)
+    stage_separate(cfg, staged / pipeline.MIXTURES_CSV, staged / pipeline.MATRIX_CSV)
+    stage_score(cfg, staged / pipeline.SOURCES_CSV, staged / pipeline.SEPARATED_CSV)
     for name in ARTIFACTS:
         a = (tmp_path / "run" / name).read_bytes()
         b = (staged / name).read_bytes()
@@ -153,8 +154,8 @@ def test_stage_mix_refuses_what_run_refuses(tmp_path):
     # the accepted matrix is the validated float array both paths mix with
     cfg = _cfg(tmp_path / "out", mixing=[[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
     assert cfg.mixing.dtype == float and cfg.mixing.shape == (2, 3)
-    sources = stage_generate(cfg, tmp_path / "out")
-    mixtures = stage_mix(cfg, tmp_path / "out" / pipeline.SOURCES_CSV, tmp_path / "out")
+    sources = stage_generate(cfg)
+    mixtures = stage_mix(cfg, tmp_path / "out" / pipeline.SOURCES_CSV)
     assert np.array_equal(mixtures, sources @ cfg.mixing.T)
 
 
