@@ -44,13 +44,26 @@ class EstimatedMatrix:
         return int(self.ratios.size)
 
 
-def compute_ratios(mixtures: np.ndarray, activity_eps: float) -> np.ndarray:
-    """Ratios x2/x1 at samples where |x1| exceeds activity_eps, in time order."""
+def checked_mixtures(mixtures: np.ndarray, activity_eps: float, stage: str) -> np.ndarray:
+    """mixtures as a finite (T, 2) float array; refuses a bad activity_eps too."""
     x = np.asarray(mixtures, dtype=float)
     if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError(f"ratio estimation needs exactly 2 mixture channels, got shape {x.shape}")
+        raise ValueError(f"{stage} needs exactly 2 mixture channels, got shape {x.shape}")
     if not 0.0 < activity_eps < np.inf:
         raise ValueError(f"activity_eps must be positive and finite, got {activity_eps}")
+    # one pass over the array; the row scan runs only on failure
+    if not np.isfinite(x).all():
+        row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise ValueError(f"mixtures row {row} holds NaN or inf")
+    return x
+
+
+def compute_ratios(mixtures: np.ndarray, activity_eps: float) -> np.ndarray:
+    """Ratios x2/x1 at samples where |x1| exceeds activity_eps, in time order.
+
+    Mixtures holding NaN or inf are refused, naming the first such row.
+    """
+    x = checked_mixtures(mixtures, activity_eps, "ratio estimation")
     keep = np.abs(x[:, 0]) > activity_eps
     return x[keep, 1] / x[keep, 0]
 
@@ -81,42 +94,26 @@ def build_histogram(ratios: np.ndarray, quantum: float) -> RatioHistogram:
     return RatioHistogram(bins=bins, quantum=quantum, active_samples=int(r.size))
 
 
-def _merged_bins(hist: RatioHistogram) -> list[tuple[int, int]]:
-    """Merge bins one quantum apart into the heavier bin.
-
-    Returns (step, count) pairs where step * quantum is the bin key.  Bins are
-    visited heaviest first (ties by lower key) and absorb any still-unmerged
-    immediate neighbors, so isolated jitter around a mode collapses into it.
-    """
-    by_step = {int(round(key / hist.quantum)): count for key, count in hist.bins.items()}
-    order = sorted(by_step, key=lambda n: (-by_step[n], n))
-    consumed: set[int] = set()
-    merged = []
-    for n in order:
-        if n in consumed:
-            continue
-        consumed.add(n)
-        total = by_step[n]
-        for m in (n - 1, n + 1):
-            if m in by_step and m not in consumed:
-                consumed.add(m)
-                total += by_step[m]
-        merged.append((n, total))
-    return merged
-
-
 def estimate_mixing(hist: RatioHistogram, peak_fraction: float = 0.1) -> EstimatedMatrix:
     """Keep the dominant histogram modes as the estimated column ratios.
 
-    After neighbor merging, bins whose count reaches peak_fraction times the
-    largest count survive (ties at the threshold are kept).  Ratios come out
-    ordered by descending count, ties by lower ratio.
+    Bins are visited heaviest first, ties going to the lower ratio.  A bin
+    not yet absorbed becomes a mode and absorbs its still-unabsorbed
+    neighbors one quantum either side, so each bin is absorbed at most once,
+    by the first of its neighbors to be visited.  Modes whose merged count
+    reaches peak_fraction times the largest survive (ties at the threshold
+    are kept).  Ratios come out ordered by descending count, ties by lower
+    ratio.
     """
     if not hist.bins:
         raise ValueError("empty histogram: no active samples to estimate from")
     if not 0.0 < peak_fraction < 1.0:
         raise ValueError(f"peak_fraction must lie in (0, 1), got {peak_fraction}")
-    merged = sorted(_merged_bins(hist), key=lambda nc: (-nc[1], nc[0]))
-    cutoff = peak_fraction * merged[0][1]
-    selected = [(n, c) for n, c in merged if c >= cutoff]
-    return EstimatedMatrix(np.array([float(n) * hist.quantum for n, _ in selected]))
+    unmerged = {round(key / hist.quantum): count for key, count in hist.bins.items()}
+    modes = {}
+    for n in sorted(unmerged, key=lambda n: (-unmerged[n], n)):
+        if n in unmerged:
+            modes[n] = unmerged.pop(n) + unmerged.pop(n - 1, 0) + unmerged.pop(n + 1, 0)
+    cutoff = peak_fraction * max(modes.values())
+    kept = sorted((-count, n) for n, count in modes.items() if count >= cutoff)
+    return EstimatedMatrix(np.array([float(n) * hist.quantum for _, n in kept]))

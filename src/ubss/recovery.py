@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimation import EstimatedMatrix
+from .estimation import EstimatedMatrix, checked_mixtures
 
 DEGENERATE_TOL = 1e-12
 
@@ -25,15 +25,12 @@ def separate(
 ):
     """Recover (T, N) source estimates from (T, 2) mixtures.
 
+    Mixtures holding NaN or inf are refused, naming the first such row.
     Samples with max(|x1|, |x2|) <= activity_eps are left all-zero.  With
     return_pairs=True the (T, 2) array of selected column indices is returned
     as well, -1 marking inactive samples.
     """
-    x = np.asarray(mixtures, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError(f"separation needs exactly 2 mixture channels, got shape {x.shape}")
-    if not 0.0 < activity_eps < np.inf:
-        raise ValueError(f"activity_eps must be positive and finite, got {activity_eps}")
+    x = checked_mixtures(mixtures, activity_eps, "separation")
     if est.n_sources < 2:
         raise ValueError("separation needs at least 2 estimated columns")
 

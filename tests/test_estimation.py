@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ubss import (
     EstimatedMatrix,
@@ -106,6 +108,87 @@ def test_estimate_mixing_orders_by_count_then_ratio():
     assert list(est.ratios) == pytest.approx([2.0, -1.1, 0.7], abs=1e-12)
 
 
+def _merged_bins(hist):
+    """Reference merge with a consumed set: (step, count) per mode, unsorted.
+
+    Bins are visited heaviest first (ties by lower key) and absorb any
+    still-unmerged immediate neighbors; a consumed set keeps each bin in one
+    mode.
+    """
+    by_step = {int(round(key / hist.quantum)): count for key, count in hist.bins.items()}
+    order = sorted(by_step, key=lambda n: (-by_step[n], n))
+    consumed = set()
+    merged = []
+    for n in order:
+        if n in consumed:
+            continue
+        consumed.add(n)
+        total = by_step[n]
+        for m in (n - 1, n + 1):
+            if m in by_step and m not in consumed:
+                consumed.add(m)
+                total += by_step[m]
+        merged.append((n, total))
+    return merged
+
+
+def _oracle_ratios(hist, peak_fraction):
+    merged = sorted(_merged_bins(hist), key=lambda nc: (-nc[1], nc[0]))
+    cutoff = peak_fraction * merged[0][1]
+    return np.array([float(n) * hist.quantum for n, c in merged if c >= cutoff])
+
+
+@st.composite
+def _chain(draw):
+    # adjacent steps whose counts only rise or only fall: the heads alternate
+    start = draw(st.integers(-40, 40))
+    counts = sorted(draw(st.lists(st.integers(1, 60), min_size=2, max_size=8, unique=True)))
+    if draw(st.booleans()):
+        counts.reverse()
+    return {start + i: c for i, c in enumerate(counts)}
+
+
+@st.composite
+def _histograms(draw):
+    quantum = draw(st.sampled_from([1e-4, 0.25]))
+    # few distinct counts on a narrow step range: adjacency and equal-count ties
+    steps = draw(st.dictionaries(st.integers(-30, 30), st.integers(1, 5), max_size=30))
+    for chain in draw(st.lists(_chain(), max_size=3)):
+        steps.update(chain)
+    if not steps:
+        steps = {draw(st.integers(-30, 30)): draw(st.integers(1, 5))}
+    bins = {float(n) * quantum: c for n, c in steps.items()}
+    return RatioHistogram(bins=bins, quantum=quantum, active_samples=sum(steps.values()))
+
+
+_PEAK_FRACTIONS = st.one_of(
+    st.floats(1e-12, 1e-3),
+    st.floats(0.01, 0.99),
+    st.floats(0.999, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hist=_histograms(), peak_fraction=_PEAK_FRACTIONS)
+@example(hist=RatioHistogram(bins={-0.5: 7}, quantum=0.25, active_samples=7), peak_fraction=0.5)
+@example(  # a rising and a falling chain side by side, heads every other step
+    hist=RatioHistogram(
+        bins={float(n) * 1e-4: c for n, c in zip(range(-4, 7), [1, 2, 3, 4, 5, 9, 8, 7, 6, 5, 4])},
+        quantum=1e-4,
+        active_samples=54,
+    ),
+    peak_fraction=1e-9,
+)
+@example(  # three equal bins in a row: the lowest heads and takes the middle
+    hist=RatioHistogram(bins={-0.25: 3, 0.0: 3, 0.25: 3}, quantum=0.25, active_samples=9),
+    peak_fraction=0.999,
+)
+def test_estimate_mixing_matches_the_two_pass_merge(hist, peak_fraction):
+    expected = _oracle_ratios(hist, peak_fraction)
+    got = estimate_mixing(hist, peak_fraction).ratios
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_estimate_mixing_argument_validation():
     hist = build_histogram(np.array([1.0]), Q)
     with pytest.raises(ValueError, match="empty histogram"):
@@ -136,6 +219,17 @@ def test_compute_ratios_keeps_only_denominated_samples():
     for eps in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="activity_eps must be positive and finite"):
             compute_ratios(x, activity_eps=eps)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channel", [0, 1])
+def test_compute_ratios_refuses_non_finite_mixtures(channel, value):
+    # unchecked, a NaN x1 drops its sample silently and an infinite x1 counts as ratio 0.0
+    x = np.ones((5, 2))
+    x[3, channel] = value
+    x[4, 1 - channel] = value
+    with pytest.raises(ValueError, match="mixtures row 3 holds NaN or inf"):
+        compute_ratios(x, activity_eps=1e-9)
 
 
 def test_end_to_end_ratio_recovery_exact():

@@ -153,6 +153,17 @@ def test_separate_input_validation():
             separate(np.ones((5, 2)), est, eps)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("channel", [0, 1])
+def test_separate_refuses_non_finite_mixtures(channel, value):
+    # unchecked, a NaN sample comes back all-zero with pair (-1, -1), inf as +-inf outputs
+    x = np.ones((5, 2))
+    x[3, channel] = value
+    x[4, 1 - channel] = value
+    with pytest.raises(ValueError, match="mixtures row 3 holds NaN or inf"):
+        separate(x, EstimatedMatrix(ratios=(2.0, 0.5)), 1e-9)
+
+
 def test_separate_rejects_near_duplicate_ratios():
     est = EstimatedMatrix(ratios=(2.0, 2.0 + 1e-13, 0.5))
     with pytest.raises(ValueError, match="degenerate pair"):
