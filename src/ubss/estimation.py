@@ -84,8 +84,9 @@ def build_histogram(ratios: np.ndarray, quantum: float) -> RatioHistogram:
     bad = np.flatnonzero(~np.isfinite(r))
     if bad.size:
         raise ValueError(f"non-finite ratio at index {int(bad[0])}")
-    # quantize casts the step count to int64; 2**62 quanta or more could wrap
-    big = np.flatnonzero(np.abs(r) >= 2.0**62 * quantum)
+    # estimate_mixing recovers each step n as round(float(n) * quantum / quantum),
+    # exact only below 2**51 quanta; beyond 2**62 the int64 cast could also wrap
+    big = np.flatnonzero(np.abs(r) >= 2.0**51 * quantum)
     if big.size:
         i = int(big[0])
         raise ValueError(f"ratio {r[i]} at index {i} is too large for quantum {quantum}")

@@ -105,19 +105,21 @@ def count_uncovered(
     pairs holds estimated-column indices; permutation (as produced by
     align_and_score) translates them to true-source indices.  Counts only
     samples where a pair was selected; samples with three or more
-    simultaneously active sources can never be covered.
+    simultaneously active sources can never be covered.  A pair index
+    outside [-1, len(permutation)) is refused.
     """
     s = np.asarray(sources, dtype=float)
     p = np.asarray(pairs)
     if s.shape[0] != p.shape[0]:
         raise ValueError(f"sample count mismatch: {s.shape[0]} vs {p.shape[0]}")
-    lut = np.array([-1 if t is None else int(t) for t in permutation], dtype=np.int64)
-    mapped = np.where(p >= 0, lut[np.clip(p, 0, lut.size - 1)], -1)
-    active = s != 0.0
+    n = len(permutation)
+    if p.size and not -1 <= p.min() <= p.max() < n:
+        raise ValueError(f"pair index {p[(p < -1) | (p >= n)][0]} is outside [-1, {n})")
+    # the trailing -1 makes lut[-1] == -1: an unselected slot maps to no source
+    lut = np.array([-1 if t is None else int(t) for t in permutation] + [-1], dtype=np.int64)
     rows = np.flatnonzero(p[:, 0] >= 0)
-    leftover = active[rows].copy()
-    for col in (0, 1):
-        m = mapped[rows, col]
+    leftover = s[rows] != 0.0
+    for m in lut[p[rows]].T:
         ok = np.flatnonzero(m >= 0)
         leftover[ok, m[ok]] = False
     return int(np.count_nonzero(leftover.any(axis=1)))

@@ -59,7 +59,6 @@ class ExperimentResult:
     report: SeparationReport
     wrong_pair_count: int
     max_simultaneous: int
-    output_dir: Path | None
 
 
 def build_sources(cfg: ExperimentConfig) -> np.ndarray:
@@ -68,11 +67,11 @@ def build_sources(cfg: ExperimentConfig) -> np.ndarray:
 
 def _write_artifacts(
     out_dir, *, sources=None, mixtures=None, estimate=None, separated=None, report=None
-) -> Path:
+) -> None:
     """The one writer of every artifact: writes those given into out_dir.
 
-    estimate is the (histogram, estimated matrix) pair.  Returns out_dir,
-    created if missing.
+    estimate is the (histogram, estimated matrix) pair.  out_dir is created
+    if missing.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,7 +90,6 @@ def _write_artifacts(
         csvio.write_estimated_matrix(out / MATRIX_CSV, est)
     if report is not None:
         csvio.write_report(out / REPORT_CSV, report)
-    return out
 
 
 def print_summary(est=None, report=None, wrong: int | None = None, max_sim: int = 0) -> None:
@@ -170,9 +168,8 @@ def run_experiment(
     wrong = count_uncovered(sources, pairs, report.permutation)
     max_sim = max_simultaneous_sources(sources)
 
-    out = None
     if write_files:
-        out = _write_artifacts(
+        _write_artifacts(
             out_dir if out_dir is not None else cfg.output_dir,
             sources=sources,
             mixtures=mixtures,
@@ -196,5 +193,4 @@ def run_experiment(
         report=report,
         wrong_pair_count=wrong,
         max_simultaneous=max_sim,
-        output_dir=out,
     )

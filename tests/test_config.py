@@ -142,6 +142,12 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
+def test_load_config_malformed_file(tmp_path):
+    # a key before any section header is a configparser error, reported as ConfigError
+    with pytest.raises(ConfigError, match="malformed config .*no section headers"):
+        load_config(_write(tmp_path, "seed = 3\n" + MINIMAL_CFG))
+
+
 def test_load_config_missing_sections(tmp_path):
     with pytest.raises(ConfigError, match=r"missing the \[signal\] section"):
         load_config(_write(tmp_path, "[run]\noutput_dir = out\n"))

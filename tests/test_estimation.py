@@ -56,10 +56,26 @@ def test_build_histogram_refuses_a_ratio_whose_step_would_wrap():
     with pytest.raises(ValueError, match="ratio 1e\\+16 at index 10 is too large"):
         build_histogram(ratios, Q)
     with pytest.raises(ValueError, match="index 1 is too large"):
-        build_histogram(np.array([1.0, -(2.0**62)]), 1.0)
+        build_histogram(np.array([1.0, -(2.0**51)]), 1.0)
     # just below the bound every ratio keeps its sign and magnitude
-    hist = build_histogram(np.array([2.0**61, -(2.0**61)]), 1.0)
-    assert sorted(hist.bins) == [-(2.0**61), 2.0**61]
+    hist = build_histogram(np.array([2.0**50, -(2.0**50)]), 1.0)
+    assert sorted(hist.bins) == [-(2.0**50), 2.0**50]
+
+
+def test_build_histogram_refuses_a_ratio_whose_step_would_not_round_trip():
+    # 410932772794.5149 / 1e-4 lies between 2**51 and 2**53 quanta, where
+    # round(key / quantum) moves some steps by one: the jittered mode split in
+    # two, [410932772794.51483, 410932772794.515]
+    b = 410932772794.5149
+    ratios = np.array([b] * 5 + [b + Q] * 3 + [b - Q] * 2)
+    with pytest.raises(ValueError, match="index 0 is too large for quantum 0.0001"):
+        build_histogram(ratios, Q)
+    # the largest steps still accepted come back exactly: one merged mode
+    for n in (2**51 - 3, 2**51 - 12345, 2**50 + 3):
+        ratios = np.array([n * Q] * 5 + [n * Q + Q] * 3 + [n * Q - Q] * 2)
+        hist = build_histogram(ratios, Q)
+        assert [round(k / Q) for k in hist.bins] == np.unique(quantize(ratios, Q)).tolist()
+        assert estimate_mixing(hist).n_sources == 1
 
 
 def test_estimate_mixing_merges_neighbor_bins():

@@ -353,6 +353,18 @@ def test_count_uncovered_identity_and_unmatched():
         count_uncovered(sources, pairs[:2], [0, 1, 2])
 
 
+def test_count_uncovered_refuses_pair_indices_outside_the_estimates():
+    sources = np.zeros((2, 3))
+    sources[:, 2] = 1.0
+    # index 7 once counted as estimate 2, and -3 as an inactive sample
+    for pairs, bad in (([[0, 7], [1, 7]], 7), ([[-3, 1], [0, 1]], -3), ([[0, 3], [1, 2]], 3)):
+        with pytest.raises(ValueError, match=f"pair index {bad} is outside \\[-1, 3\\)"):
+            count_uncovered(sources, np.array(pairs), [0, 1, 2])
+    # both ends of the range are accepted, and no pairs at all
+    assert count_uncovered(sources, np.array([[-1, -1], [1, 2]]), [0, 1, 2]) == 0
+    assert count_uncovered(np.zeros((0, 3)), np.zeros((0, 2), dtype=np.int64), [0, 1, 2]) == 0
+
+
 def test_max_simultaneous_sources():
     s = np.zeros((5, 3))
     s[0, 0] = 1.0

@@ -58,8 +58,7 @@ def _cfg(out_dir, seed=3, mode=OverlapMode.AT_MOST_TWO, **kw):
 
 def test_run_experiment_writes_all_artifacts(tmp_path):
     cfg = _cfg(tmp_path / "out")
-    result = run_experiment(cfg, verbose=False)
-    assert result.output_dir == tmp_path / "out"
+    run_experiment(cfg, verbose=False)
     for name in ARTIFACTS:
         assert (tmp_path / "out" / name).is_file(), name
 
@@ -67,7 +66,7 @@ def test_run_experiment_writes_all_artifacts(tmp_path):
 def test_run_experiment_result_is_consistent(tmp_path):
     cfg = _cfg(tmp_path / "out")
     r = run_experiment(cfg, write_files=False, verbose=False)
-    assert r.output_dir is None
+    assert not (tmp_path / "out").exists()
     t, n = cfg.th_uwb.total_len, cfg.th_uwb.n_sources
     assert r.sources.shape == (t, n)
     assert r.mixtures.shape == (t, 2)

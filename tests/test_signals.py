@@ -89,6 +89,9 @@ def test_generate_sources_layout():
             seg = src[40 * f : 40 * (f + 1), k]
             chips = {int(t) // 10 for t in np.flatnonzero(seg)}
             assert len(chips) <= 1
+    for n_pulses in (1, 3):
+        with pytest.raises(ValueError, match=f"expected 2 pulse specs, got {n_pulses}"):
+            generate_sources(cfg, [PulseSpec(order=0)] * n_pulses)
 
 
 def test_generate_sources_deterministic_and_per_source():
@@ -237,8 +240,10 @@ def test_mix_shapes_and_values():
     assert np.array_equal(mix(s, np.eye(3)), s)
     with pytest.raises(ValueError, match="columns"):
         mix(s, np.ones((2, 4)))
-    with pytest.raises(ValueError, match="2-D"):
+    with pytest.raises(ValueError, match="sources must be 2-D"):
         mix(s[:, 0], a)
+    with pytest.raises(ValueError, match="mixing matrix must be 2-D"):
+        mix(s, a[0])
 
 
 def test_validate_mixing_matrix():
