@@ -2,8 +2,9 @@
 
 Signals are stored one column per channel, one row per sample, with a header
 row.  Floats are written with 17 significant digits so a read back reproduces
-the exact values; reruns of the same configuration are byte-identical.  Signal
-files format, and read back, each distinct value once rather than per sample.
+the exact values; reruns of the same configuration are byte-identical.  Sparse
+signals repeat rows (silence, and one pulse shape per source), so signal files
+are formatted, and read back, one distinct row at a time rather than per sample.
 """
 
 from __future__ import annotations
@@ -37,12 +38,16 @@ def _format_each(values, fmt: str) -> np.ndarray:
 
 
 def write_signals(path, signals: np.ndarray) -> None:
-    x = np.asarray(signals, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"signals must be 2-D, got shape {x.shape}")
+    x = np.ascontiguousarray(signals, dtype=float)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(
+            f"signals must be 2-D with at least one row and one column, got shape {x.shape}")
     header = ",".join(f"ch{k + 1}" for k in range(x.shape[1]))
-    rows = map(",".join, _format_each(x, "%.17g").tolist())
-    _write_lines(path, [header, *rows])
+    # rows compared by their bytes, so -0.0 and 0.0 stay apart
+    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    text = np.array(list(map(",".join, _format_each(x[first], "%.17g").tolist())), dtype=object)
+    _write_lines(path, [header, *text[inverse].tolist()])
 
 
 def read_signals(path) -> np.ndarray:
@@ -54,25 +59,27 @@ def read_signals(path) -> np.ndarray:
     rows = lines[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    counts = np.array([row.count(",") + 1 for row in rows])
-    wrong = np.flatnonzero(counts != width)
-    n_ok = int(wrong[0]) if wrong.size else len(rows)
-    # every row before the first wrong-width one, split into width fields each
-    fields = ",".join(rows[:n_ok]).split(",") if n_ok else []
-    parsed = dict.fromkeys(fields)  # in order of first appearance
-    for text in parsed:
+    # each distinct line is checked and parsed once, in order of first
+    # appearance, so the first bad one found is also the first bad row
+    code = dict.fromkeys(rows)
+    table = []
+    for n, line in enumerate(code):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValueError(
+                f"{path}: row {rows.index(line) + 2} has {len(fields)} fields, expected {width}")
         try:
-            parsed[text] = float(text)
+            table.append(list(map(float, fields)))
         except ValueError:
-            row = fields.index(text) // width + 2
-            raise ValueError(f"{path}: row {row} has a non-numeric field") from None
-    if wrong.size:
-        raise ValueError(f"{path}: row {n_ok + 2} has {counts[n_ok]} fields, expected {width}")
-    x = np.fromiter(map(parsed.__getitem__, fields), float, len(fields)).reshape(-1, width)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+            raise ValueError(
+                f"{path}: row {rows.index(line) + 2} has a non-numeric field") from None
+        code[line] = n
+    table = np.array(table)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
-        raise ValueError(f"{path}: row {int(bad[0]) + 2} has a non-finite field")
-    return x
+        line = list(code)[bad[0]]
+        raise ValueError(f"{path}: row {rows.index(line) + 2} has a non-finite field")
+    return table[np.fromiter(map(code.__getitem__, rows), np.intp, len(rows))]
 
 
 def write_estimated_matrix(path, est: EstimatedMatrix) -> None:
@@ -103,7 +110,17 @@ def write_report(path, report: SeparationReport) -> None:
     _write_lines(path, ["estimate_idx,true_idx,correlation", *rows])
 
 
+def _ratio_decimals(quantum: float) -> int:
+    """Decimals that print bins one quantum apart as different ratios: the
+    least d >= 4 with 10**-d <= quantum (1 / 10**d is correctly rounded)."""
+    d = 4
+    while 1 / 10**d > quantum:
+        d += 1
+    return d
+
+
 def export_bar_graph(hist: RatioHistogram, path) -> None:
     """Write the histogram as CSV rows "ratio,count", ratios ascending."""
-    rows = [f"{key:.4f},{hist.bins[key]}" for key in sorted(hist.bins)]
+    d = _ratio_decimals(hist.quantum)
+    rows = [f"{key:.{d}f},{hist.bins[key]}" for key in sorted(hist.bins)]
     _write_lines(path, ["ratio,count", *rows])

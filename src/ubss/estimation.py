@@ -65,7 +65,8 @@ def compute_ratios(mixtures: np.ndarray, activity_eps: float) -> np.ndarray:
     """
     x = checked_mixtures(mixtures, activity_eps, "ratio estimation")
     keep = np.abs(x[:, 0]) > activity_eps
-    return x[keep, 1] / x[keep, 0]
+    with np.errstate(over="ignore"):  # an overflow to inf is left to build_histogram to refuse
+        return x[keep, 1] / x[keep, 0]
 
 
 def quantize(values: np.ndarray, quantum: float) -> np.ndarray:

@@ -37,7 +37,8 @@ def separate(
     x1, x2 = x[:, 0], x[:, 1]
     rows = np.flatnonzero(np.maximum(np.abs(x1), np.abs(x2)) > activity_eps)
     x1a, x2a = x1[rows], x2[rows]
-    theta = np.arctan(np.divide(x2a, x1a, out=np.full_like(x2a, np.inf), where=x1a != 0.0))
+    with np.errstate(over="ignore"):  # x2/x1 may overflow to inf: arctan(inf) is pi/2
+        theta = np.arctan(np.divide(x2a, x1a, out=np.full_like(x2a, np.inf), where=x1a != 0.0))
     dist = np.abs(theta[:, None] - np.arctan(est.ratios)[None, :])
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :2]
     i, j = nearest.T

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csvio import _format_each
+from .csvio import _format_each, _ratio_decimals
 from .estimation import RatioHistogram
 
 _WIDTH = 900
@@ -79,6 +79,7 @@ def bar_graph_svg(hist: RatioHistogram) -> str:
         lo, hi = keys[0], keys[-1]
         span = hi - lo if hi > lo else 1.0
         max_count = max(hist.bins.values())
+        d = _ratio_decimals(hist.quantum)
         plot_w = _BAR_WIDTH - 2 * _MARGIN
         plot_h = _BAR_HEIGHT - 2 * _MARGIN
         for key in keys:
@@ -90,10 +91,10 @@ def bar_graph_svg(hist: RatioHistogram) -> str:
             )
         body.append(
             f'<text x="{_MARGIN}" y="{_BAR_HEIGHT - 5}" font-size="11" '
-            f'fill="#333333">{lo:.4f}</text>'
+            f'fill="#333333">{lo:.{d}f}</text>'
         )
         body.append(
             f'<text x="{_BAR_WIDTH - _MARGIN - 50}" y="{_BAR_HEIGHT - 5}" font-size="11" '
-            f'fill="#333333">{hi:.4f}</text>'
+            f'fill="#333333">{hi:.{d}f}</text>'
         )
     return _svg(_BAR_WIDTH, _BAR_HEIGHT, body)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from ubss import EstimatedMatrix, SeparationReport, build_histogram
 from ubss.csvio import (
+    _ratio_decimals,
     export_bar_graph,
     read_estimated_matrix,
     read_signals,
@@ -14,7 +17,7 @@ from ubss.csvio import (
     write_signals,
 )
 
-# Row-by-row reference of read_signals(), which parses each distinct field once.
+# Row-by-row reference of read_signals(), which parses each distinct row once.
 
 
 def read_signals_oracle(path) -> np.ndarray:
@@ -95,6 +98,16 @@ def test_write_signals_rejects_non_2d(tmp_path):
         write_signals(tmp_path / "x.csv", np.ones(4))
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+def test_write_signals_refuses_what_read_signals_refuses(tmp_path, shape):
+    # no columns would write blank rows and no rows a header alone: neither reads back
+    path = tmp_path / "x.csv"
+    message = f"at least one row and one column, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_signals(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_read_signals_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("")
@@ -143,6 +156,15 @@ def test_read_signals_first_bad_row_wins(tmp_path):
     path.write_text("ch1,ch2\n1,2\nnan,2\nx,2\n")  # non-finite is checked last
     with pytest.raises(ValueError, match="row 4 has a non-numeric field"):
         read_signals(path)
+    # a bad line that repeats is reported at its first occurrence
+    for row, message in (
+        ("3", "row 4 has 1 fields, expected 2"),
+        ("x,2", "row 4 has a non-numeric field"),
+        ("inf,2", "row 4 has a non-finite field"),
+    ):
+        path.write_text("ch1,ch2\n1,2\n1,2\n" + f"{row}\n1,2\n" * 3)
+        with pytest.raises(ValueError, match=message):
+            read_signals(path)
 
 
 def test_read_signals_blank_lines_and_padding(tmp_path):
@@ -160,6 +182,28 @@ def test_read_signals_blank_lines_and_padding(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(x=signal_arrays)
 def test_signals_match_the_row_by_row_oracles(tmp_path_factory, x):
+    path = tmp_path_factory.mktemp("csv") / "signals.csv"
+    write_signals(path, x)
+    assert path.read_text() == write_signals_oracle(x)
+    assert read_signals(path).tobytes() == read_signals_oracle(path).tobytes() == x.tobytes()
+
+
+repeated_rows = st.integers(1, 4).flatmap(
+    lambda width: st.tuples(
+        arrays(float, st.tuples(st.integers(0, 3), st.just(width)), elements=samples),
+        st.lists(st.sampled_from((0.0, -0.0)), min_size=width, max_size=width),
+        st.lists(st.integers(0, 4), min_size=1, max_size=60),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=repeated_rows)
+def test_signals_of_repeated_rows_match_the_row_by_row_oracles(tmp_path_factory, drawn):
+    # most rows repeat one of a pool of 2-5, two of which differ only in the signs of zeros
+    rows, zeros, picks = drawn
+    pool = np.vstack([rows, zeros, np.negative(zeros)])
+    x = pool[np.array(picks) % len(pool)]
     path = tmp_path_factory.mktemp("csv") / "signals.csv"
     write_signals(path, x)
     assert path.read_text() == write_signals_oracle(x)
@@ -231,3 +275,12 @@ def test_export_bar_graph_format(tmp_path):
     path = tmp_path / "hist.csv"
     export_bar_graph(hist, path)
     assert path.read_text() == "ratio,count\n0.5000,1\n1.8000,2\n"
+    # below 1e-4 the decimals grow so that neighbouring bins print apart
+    export_bar_graph(build_histogram(np.array([0.03, 0.03003, 0.03003]), 3e-5), path)
+    assert path.read_text() == "ratio,count\n0.03000,1\n0.03003,2\n"
+
+
+def test_ratio_decimals_is_the_least_d_from_4_with_a_step_within_the_quantum():
+    for quantum, d in ((100.0, 4), (1e-4, 4), (9.99e-5, 5), (3e-5, 5), (1e-5, 5), (1e-6, 6),
+                       (1e-15, 15), (5e-324, 324)):
+        assert _ratio_decimals(quantum) == d, quantum

@@ -237,6 +237,14 @@ def test_compute_ratios_keeps_only_denominated_samples():
             compute_ratios(x, activity_eps=eps)
 
 
+def test_an_overflowing_ratio_is_refused_by_the_histogram_without_a_warning():
+    # the suite turns warnings into errors, so compute_ratios must not warn
+    ratios = compute_ratios(np.array([[1.0, 2.0], [1e-310, 1.0]]), activity_eps=1e-320)
+    assert ratios.tolist() == [2.0, np.inf]
+    with pytest.raises(ValueError, match="non-finite ratio at index 1"):
+        build_histogram(ratios, Q)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("channel", [0, 1])
 def test_compute_ratios_refuses_non_finite_mixtures(channel, value):

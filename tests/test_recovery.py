@@ -170,6 +170,17 @@ def test_separate_rejects_near_duplicate_ratios():
         separate(np.array([[1.0, 2.0]]), est, 1e-12)
 
 
+def test_separate_subnormal_x1_is_vertical_without_a_warning():
+    # x2/x1 overflows to inf, whose arctan is the steepest angle, as at x1 == 0;
+    # the suite turns the overflow warning into an error
+    est = EstimatedMatrix(ratios=(0.5, 2.0))
+    out, pairs = separate(np.array([[1e-310, 1.0]]), est, 1e-6, return_pairs=True)
+    assert tuple(pairs[0]) == (1, 0)
+    s_j, s_i = out[0]
+    assert s_i + s_j == pytest.approx(0.0, abs=1e-15)
+    assert 2.0 * s_i + 0.5 * s_j == pytest.approx(1.0, rel=1e-14)
+
+
 def test_separate_zero_x1_active_sample():
     # x1 == 0 with x2 != 0 folds to the steepest angle and stays solvable
     est = EstimatedMatrix(ratios=(2.0, 0.5))

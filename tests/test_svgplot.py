@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ubss.svgplot import _MARGIN, _PANEL_HEIGHT, _WIDTH, _svg, waveform_svg
+from ubss import build_histogram
+from ubss.svgplot import _MARGIN, _PANEL_HEIGHT, _WIDTH, _svg, bar_graph_svg, waveform_svg
 
 PLOT_W = _WIDTH - 2 * _MARGIN
 HALF = (_PANEL_HEIGHT - 10) / 2.0
@@ -164,3 +165,12 @@ def test_waveform_svg_refuses_non_finite_samples(bad):
     x[3, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         waveform_svg(x)
+
+
+def test_bar_graph_svg_labels_print_the_ratios_to_the_quantums_decimals():
+    def labels(ratios, quantum):
+        svg = bar_graph_svg(build_histogram(ratios, quantum))
+        return re.findall(r"<text [^>]*>([^<]*)</text>", svg)
+
+    assert labels(np.array([0.5, 1.8]), 1e-4) == ["0.5000", "1.8000"]
+    assert labels(np.array([0.03, 0.03003]), 3e-5) == ["0.03000", "0.03003"]
