@@ -7,21 +7,20 @@
     ubss separate CONFIG       mixtures.csv + estimated_matrix.csv -> separated.csv
     ubss score CONFIG          sources.csv + separated.csv -> report.csv
 
-Flags override config values; the UBSS_SEED environment variable overrides
-the config seed and is itself overridden by --seed.  Stage inputs default to
-the artifact names inside the output directory, so the stages chain.
+Flags override config values; --seed is the one override of the config seed.
+Stage inputs default to the artifact names inside the output directory, so
+the stages chain.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import SEED_ENV_VAR, ConfigError, load_config
+from .config import load_config
 
 # Every flag: its type and help text.  --seed and the estimation flags
 # override the config, the others name files.
@@ -69,20 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_override(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _load(args):
-    cfg = load_config(args.config, seed_override=_seed_override(args))
+    cfg = load_config(args.config, seed_override=getattr(args, "seed", None))
     # ExperimentConfig validates the overridden values when replace rebuilds it
     updates = {key: getattr(args, key) for key in _COMMANDS[args.command][1]
                if key != "seed" and getattr(args, key) is not None}

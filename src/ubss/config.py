@@ -22,11 +22,13 @@ Config files are flat key-value text with section headers, for example:
     overlap_mode = at_most_two
     output_dir = out/exp1
 
-_KEYS lists every key; unknown ones are refused.  Matrix rows are separated
-by semicolons, entries by whitespace; "random" draws a reproducible matrix
-instead ([mixing] seed, by default the signal seed).  Every pulse is
-chip_len samples wide.  Without activity_eps every stage derives it as 1e-6
-times the largest |x1| it sees.
+_KEYS lists every key; unknown ones are refused, and one left out takes the
+default of the object it configures.  n_sources sets the length of the pulse
+lists, whose defaults are orders 0, 1, 2, 0, ... and amplitude 1; the lists
+become the layout's pulses.  Matrix rows are separated by semicolons, entries
+by whitespace; "random" draws a reproducible matrix instead ([mixing] seed,
+by default the signal seed).  Every pulse is chip_len samples wide.  Without
+activity_eps every stage derives it as 1e-6 times the largest |x1| it sees.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import OverlapMode, PulseSpec, ThUwbConfig, pulse_shape, validate_mixing_matrix
+from .signals import OverlapMode, PulseSpec, ThUwbConfig, validate_mixing_matrix
 
 ACTIVITY_REL = 1e-6
-SEED_ENV_VAR = "UBSS_SEED"
 
 
 class ConfigError(ValueError):
@@ -51,7 +52,6 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     th_uwb: ThUwbConfig
-    pulses: list[PulseSpec]
     mixing: np.ndarray
     output_dir: Path
     quantum: float = 1e-4
@@ -68,15 +68,6 @@ class ExperimentConfig:
                 f"[mixing] matrix has {self.mixing.shape[1]} columns"
                 f" for {self.th_uwb.n_sources} sources"
             )
-        if len(self.pulses) != self.th_uwb.n_sources:
-            raise ConfigError(
-                f"[signal] {len(self.pulses)} pulse specs for {self.th_uwb.n_sources} sources"
-            )
-        try:  # refuses a pulse that is identically zero at chip_len samples
-            for spec in self.pulses:
-                pulse_shape(spec, self.th_uwb.chip_len)
-        except ValueError as exc:
-            raise ConfigError(f"[signal]: {exc}") from None
         if not 0.0 < self.quantum < np.inf:
             raise ConfigError(f"quantum must be positive and finite, got {self.quantum}")
         if not 0.0 < self.peak_fraction < 1.0:
@@ -146,8 +137,7 @@ def _matrix(raw: str) -> np.ndarray | None:
 # Every key of a config file and the parser of its value, per section:
 # (required keys, optional keys).  It is also the list of known keys.  An
 # optional key missing from the file is not passed on, so its default lives
-# on the object that checks it (ThUwbConfig, ExperimentConfig); the one
-# exception, overlap_mode, is named in load_config.
+# on the object that checks it (ThUwbConfig, ExperimentConfig).
 _KEYS = {
     "signal": (
         {"chip_len": int, "frame_len": int, "total_len": int, "n_sources": int, "seed": int},
@@ -204,19 +194,19 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Read an experiment config file; seed_override replaces the file seed."""
     values = _read(path, seed_override)
     signal, mixing, run = values["signal"], values["mixing"], values["run"]
-    n = signal["n_sources"]
+    n = signal.pop("n_sources")
+    if n < 1:
+        raise ConfigError(f"[signal] n_sources must be >= 1, got {n}")
     orders = signal.pop("pulse_orders", [k % 3 for k in range(n)])
     amplitudes = signal.pop("pulse_amplitudes", [1.0] * n)
-    # A file without overlap_mode means at_most_two, the paper's capped
-    # setting; a layout built in code defaults to allow_three.
-    mode = run.get("overlap_mode", OverlapMode.AT_MOST_TWO)
-    try:
-        th = ThUwbConfig(**signal, overlap_mode=mode)
-        pulses = [PulseSpec(order=o, amplitude=amp) for o, amp in zip(orders, amplitudes)]
-    except ValueError as exc:
-        raise ConfigError(f"[signal]: {exc}") from None
     if len(orders) != n or len(amplitudes) != n:
         raise ConfigError(f"[signal] pulse_orders/pulse_amplitudes must list {n} values")
+    output_dir = run.pop("output_dir")
+    try:  # what is left of [run] is the layout's overlap_mode, if the file sets it
+        pulses = [PulseSpec(order=o, amplitude=amp) for o, amp in zip(orders, amplitudes)]
+        th = ThUwbConfig(**signal, pulses=pulses, **run)
+    except ValueError as exc:
+        raise ConfigError(f"[signal]: {exc}") from None
 
     matrix = mixing.get("matrix")
     if matrix is None:
@@ -224,7 +214,5 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
             matrix = random_mixing(n, mixing.get("seed", th.seed))
         except ValueError as exc:
             raise ConfigError(f"[mixing] {exc}") from None
-    return ExperimentConfig(
-        th_uwb=th, pulses=pulses, mixing=matrix, output_dir=run["output_dir"],
-        **values["estimation"],
-    )
+    return ExperimentConfig(th_uwb=th, mixing=matrix, output_dir=output_dir,
+                            **values["estimation"])

@@ -29,14 +29,6 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _format_each(values, fmt: str) -> np.ndarray:
-    """fmt % v for every element, formatting each distinct value (by its bits) once."""
-    v = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
-    text = np.array([fmt % u for u in bits.view(float).tolist()], dtype=object)
-    return text[inverse].reshape(v.shape)
-
-
 def write_signals(path, signals: np.ndarray) -> None:
     x = np.ascontiguousarray(signals, dtype=float)
     if x.ndim != 2 or x.size == 0:
@@ -46,7 +38,8 @@ def write_signals(path, signals: np.ndarray) -> None:
     # rows compared by their bytes, so -0.0 and 0.0 stay apart
     rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    text = np.array(list(map(",".join, _format_each(x[first], "%.17g").tolist())), dtype=object)
+    fmt = ",".join(["%.17g"] * x.shape[1])
+    text = np.array([fmt % tuple(row) for row in x[first].tolist()], dtype=object)
     _write_lines(path, [header, *text[inverse].tolist()])
 
 

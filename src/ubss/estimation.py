@@ -96,7 +96,7 @@ def build_histogram(ratios: np.ndarray, quantum: float) -> RatioHistogram:
     return RatioHistogram(bins=bins, quantum=quantum, active_samples=int(r.size))
 
 
-def estimate_mixing(hist: RatioHistogram, peak_fraction: float = 0.1) -> EstimatedMatrix:
+def estimate_mixing(hist: RatioHistogram, peak_fraction: float) -> EstimatedMatrix:
     """Keep the dominant histogram modes as the estimated column ratios.
 
     Bins are visited heaviest first, ties going to the lower ratio.  A bin

@@ -62,7 +62,7 @@ class ExperimentResult:
 
 
 def build_sources(cfg: ExperimentConfig) -> np.ndarray:
-    return generate_sources(cfg.th_uwb, cfg.pulses)
+    return generate_sources(cfg.th_uwb)
 
 
 def _write_artifacts(

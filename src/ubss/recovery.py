@@ -32,7 +32,7 @@ def separate(
     """
     x = checked_mixtures(mixtures, activity_eps, "separation")
     if est.n_sources < 2:
-        raise ValueError("separation needs at least 2 estimated columns")
+        raise ValueError(f"separation needs at least 2 estimated columns, got {est.n_sources}")
 
     x1, x2 = x[:, 0], x[:, 1]
     rows = np.flatnonzero(np.maximum(np.abs(x1), np.abs(x2)) > activity_eps)

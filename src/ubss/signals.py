@@ -48,12 +48,14 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class ThUwbConfig:
-    """Time-hopping layout shared by all sources of one run.
+    """Time-hopping layout of one run: its sources and how they hop.
 
-    frame_len must be a positive multiple of chip_len; a pulse fills one
-    chip.  occupancy is the per-frame emission probability (0 allowed, which
-    yields silent sources).  overlap_mode ALLOW_THREE hops every source over
-    the whole frame; AT_MOST_TWO staggers the sources so that no chip is
+    pulses holds one PulseSpec per source, so it also sets n_sources; every
+    pulse is sampled chip_len wide and must not vanish there.  frame_len must
+    be a positive multiple of chip_len; a pulse fills one chip.  occupancy is
+    the per-frame emission probability (0 allowed, which yields silent
+    sources).  overlap_mode ALLOW_THREE hops every source over the whole
+    frame; AT_MOST_TWO, the default, staggers the sources so that no chip is
     reachable by more than two of them, which needs n_sources + 1 chips per
     frame once there are more than two sources.
     """
@@ -61,10 +63,10 @@ class ThUwbConfig:
     chip_len: int
     frame_len: int
     total_len: int
-    n_sources: int
+    pulses: tuple[PulseSpec, ...]
     seed: int
     occupancy: float = 1.0
-    overlap_mode: OverlapMode = OverlapMode.ALLOW_THREE
+    overlap_mode: OverlapMode = OverlapMode.AT_MOST_TWO
 
     def __post_init__(self) -> None:
         if self.chip_len < 1:
@@ -76,8 +78,11 @@ class ThUwbConfig:
             )
         if self.total_len < self.frame_len:
             raise ValueError(f"total_len must be >= frame_len, got {self.total_len}")
-        if self.n_sources < 1:
-            raise ValueError(f"n_sources must be >= 1, got {self.n_sources}")
+        object.__setattr__(self, "pulses", tuple(self.pulses))
+        if not self.pulses:
+            raise ValueError("pulses must hold one PulseSpec per source, got none")
+        for spec in self.pulses:  # refuses a pulse that is identically zero at chip_len
+            pulse_shape(spec, self.chip_len)
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 <= self.occupancy <= 1.0:
@@ -89,6 +94,10 @@ class ThUwbConfig:
                 f"at_most_two needs at least {self.n_sources + 1} chips per frame,"
                 f" got {self.n_chips}"
             )
+
+    @property
+    def n_sources(self) -> int:
+        return len(self.pulses)
 
     @property
     def n_chips(self) -> int:
@@ -136,8 +145,8 @@ def _hop_windows(cfg: ThUwbConfig) -> list[tuple[int, int]]:
     return [(0, 2)] + [(3 + k, 1) for k in range(n - 2)] + [(1, 2)]
 
 
-def generate_sources(cfg: ThUwbConfig, pulses: list[PulseSpec]) -> np.ndarray:
-    """Build the (total_len, n_sources) source matrix.
+def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
+    """Build the (total_len, n_sources) source matrix of the layout.
 
     Per source k a dedicated generator seeded with [cfg.seed, k] draws, for
     every frame in fixed order: an occupancy gate, a chip index inside the
@@ -145,15 +154,13 @@ def generate_sources(cfg: ThUwbConfig, pulses: list[PulseSpec]) -> np.ndarray:
     whether or not the frame emits, so equal seeds give equal signals
     regardless of occupancy.  A frame emits when its gate is below occupancy
     and the chosen chip lies entirely inside total_len; the trailing partial
-    frame therefore only emits from chips it fully contains.  Every pulse is
-    sampled at chip_len.
+    frame therefore only emits from chips it fully contains.  Source k's
+    pulse is cfg.pulses[k], sampled at chip_len.
     """
-    if len(pulses) != cfg.n_sources:
-        raise ValueError(f"expected {cfg.n_sources} pulse specs, got {len(pulses)}")
     out = np.zeros((cfg.total_len, cfg.n_sources))
     for k, (start, count) in enumerate(_hop_windows(cfg)):
         rng = np.random.default_rng([cfg.seed, k])
-        shape = pulse_shape(pulses[k], cfg.chip_len)
+        shape = pulse_shape(cfg.pulses[k], cfg.chip_len)
         for f in range(cfg.n_frames):
             gate = rng.random()
             chip = start + int(rng.integers(count))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csvio import _format_each, _ratio_decimals
+from .csvio import _ratio_decimals
 from .estimation import RatioHistogram
 
 _WIDTH = 900
@@ -24,6 +24,14 @@ def _svg(width: int, height: int, body: list[str]) -> str:
         f'width="{width}" height="{height}">'
     )
     return "\n".join([head, *body, "</svg>"]) + "\n"
+
+
+def _format_each(values, fmt: str) -> np.ndarray:
+    """fmt % v for every element, formatting each distinct value (by its bits) once."""
+    v = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    text = np.array([fmt % u for u in bits.view(float).tolist()], dtype=object)
+    return text[inverse].reshape(v.shape)
 
 
 def waveform_svg(signals: np.ndarray) -> str:

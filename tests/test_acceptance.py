@@ -108,8 +108,10 @@ def test_03_capped_overlap_separation_quality():
 def test_04_lone_source_recovery_oracle():
     a = np.array([[1.0, 0.5, 0.25], [0.9, 0.3, 1.1]])
     est = EstimatedMatrix(ratios=tuple(a[1] / a[0]))
-    th = ThUwbConfig(chip_len=161, frame_len=644, total_len=2898, n_sources=3, seed=5)
-    all_sources = generate_sources(th, [PulseSpec(order=k) for k in range(3)])
+    th = ThUwbConfig(chip_len=161, frame_len=644, total_len=2898,
+                     pulses=[PulseSpec(order=k) for k in range(3)], seed=5,
+                     overlap_mode=OverlapMode.ALLOW_THREE)
+    all_sources = generate_sources(th)
     worst = 0.0
     others_zero = True
     for k in range(3):
@@ -234,14 +236,13 @@ def _controlled_overlap_run(mode: OverlapMode):
         chip_len=161,
         frame_len=644,
         total_len=90 * 644,
-        n_sources=3,
+        pulses=[PulseSpec(order=0)] * 3,
         seed=27,
         occupancy=1.0 / 3.0,
         overlap_mode=mode,
     )
     cfg = ExperimentConfig(
         th_uwb=th,
-        pulses=[PulseSpec(order=0)] * 3,
         mixing=_OVERLAP_MATRIX.copy(),
         output_dir=Path("unused"),
         peak_fraction=0.25,

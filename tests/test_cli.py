@@ -8,6 +8,8 @@ from ubss import cli, pipeline
 from ubss.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
+# the environment variable that used to override the config seed
+SEED_VAR = build_parser().prog.upper() + "_SEED"
 
 BASE_CFG = """\
 [signal]
@@ -111,6 +113,7 @@ def test_readme_run_sample_is_real_output(tmp_path, capsys):
 
 
 def test_seed_flag_and_env(tmp_path, capsys, monkeypatch):
+    # --seed is the one override of the config seed; the environment is not read
     cfg = _write_cfg(tmp_path)
     src = pipeline.SOURCES_CSV
     main(["generate", cfg, "--out-dir", str(tmp_path / "d1")])
@@ -118,21 +121,38 @@ def test_seed_flag_and_env(tmp_path, capsys, monkeypatch):
     base = (tmp_path / "d1" / src).read_bytes()
     seeded = (tmp_path / "d2" / src).read_bytes()
     assert base != seeded
-    monkeypatch.setenv("UBSS_SEED", "99")
+    monkeypatch.setenv(SEED_VAR, "99")
     main(["generate", cfg, "--out-dir", str(tmp_path / "d3")])
-    assert (tmp_path / "d3" / src).read_bytes() == seeded
-    # an explicit flag wins over the environment
-    main(["generate", cfg, "--seed", "7", "--out-dir", str(tmp_path / "d4")])
-    assert (tmp_path / "d4" / src).read_bytes() == base
+    assert (tmp_path / "d3" / src).read_bytes() == base
+    main(["generate", cfg, "--seed", "99", "--out-dir", str(tmp_path / "d4")])
+    assert (tmp_path / "d4" / src).read_bytes() == seeded
+    main(["generate", cfg, "--seed", "7", "--out-dir", str(tmp_path / "d5")])
+    assert (tmp_path / "d5" / src).read_bytes() == base
     capsys.readouterr()
 
 
-def test_rejects_malformed_env_seed(tmp_path, capsys, monkeypatch):
+def test_env_seed_is_ignored(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path)
-    monkeypatch.setenv("UBSS_SEED", "lots")
-    assert main(["generate", cfg]) == 1
-    err = capsys.readouterr().err
-    assert "UBSS_SEED must be an integer, got 'lots'" in err
+    assert main(["generate", cfg, "--out-dir", str(tmp_path / "plain")]) == 0
+    plain = sorted((tmp_path / "plain").iterdir())
+    for value in ("lots", "5"):
+        monkeypatch.setenv(SEED_VAR, value)
+        assert main(["generate", cfg, "--out-dir", str(tmp_path / value)]) == 0
+        assert [p.name for p in sorted((tmp_path / value).iterdir())] == [p.name for p in plain]
+        for p in plain:
+            assert (tmp_path / value / p.name).read_bytes() == p.read_bytes(), (value, p.name)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("seed", ["1026", "1953"])
+def test_run_names_the_column_count_when_estimation_finds_one(tmp_path, capsys, seed):
+    # on these seeds only source 2 ever fires alone, so one histogram mode is found
+    cfg = str(ROOT / "configs" / "experiment1.cfg")
+    assert main(["run", cfg, "--seed", seed, "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ubss run: separation needs at least 2 estimated columns, got 1\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_flag_validation_errors(tmp_path, capsys):

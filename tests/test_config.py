@@ -13,6 +13,7 @@ from ubss import (
     OverlapMode,
     PulseSpec,
     ThUwbConfig,
+    generate_sources,
     load_config,
 )
 from ubss.config import default_activity_eps, parse_matrix, random_mixing
@@ -69,8 +70,8 @@ def test_load_config_full(tmp_path):
     assert cfg.th_uwb.n_sources == 3
     assert cfg.th_uwb.seed == 11
     assert cfg.th_uwb.occupancy == 0.75
-    assert [p.order for p in cfg.pulses] == [0, 1, 2]
-    assert [p.amplitude for p in cfg.pulses] == [1.0, 2.0, 0.5]
+    assert [p.order for p in cfg.th_uwb.pulses] == [0, 1, 2]
+    assert [p.amplitude for p in cfg.th_uwb.pulses] == [1.0, 2.0, 0.5]
     assert np.array_equal(cfg.mixing, [[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
     assert cfg.quantum == 2e-4
     assert cfg.peak_fraction == 0.2
@@ -82,8 +83,8 @@ def test_load_config_full(tmp_path):
 def test_load_config_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL_CFG))
     assert cfg.th_uwb.occupancy == 1.0
-    assert [p.order for p in cfg.pulses] == [0, 1, 2]
-    assert [p.amplitude for p in cfg.pulses] == [1.0, 1.0, 1.0]
+    assert [p.order for p in cfg.th_uwb.pulses] == [0, 1, 2]
+    assert [p.amplitude for p in cfg.th_uwb.pulses] == [1.0, 1.0, 1.0]
     # without a [mixing] section the matrix is drawn from the signal seed
     assert cfg.mixing.shape == (2, 3)
     assert np.array_equal(cfg.mixing, random_mixing(3, 7))
@@ -175,18 +176,38 @@ def test_load_config_pulse_list_length(tmp_path):
     broken = MINIMAL_CFG.replace("seed = 7", "seed = 7\npulse_orders = 0, 1")
     with pytest.raises(ConfigError, match="must list 3 values"):
         load_config(_write(tmp_path, broken))
+    # checked before the layout is built, so it is named when the layout is wrong too
+    broken = broken.replace("frame_len = 40", "frame_len = 45")
+    with pytest.raises(ConfigError, match="must list 3 values"):
+        load_config(_write(tmp_path, broken))
+    for n in (0, -2):
+        broken = MINIMAL_CFG.replace("n_sources = 3", f"n_sources = {n}")
+        with pytest.raises(ConfigError) as info:
+            load_config(_write(tmp_path, broken))
+        assert str(info.value) == f"[signal] n_sources must be >= 1, got {n}"
 
 
-@pytest.mark.parametrize("n_pulses", [0, 1, 2, 4])
-def test_experiment_config_refuses_a_pulse_count_unequal_to_the_sources(n_pulses):
-    # built in code, not loaded: the config refuses it, not generate_sources later
-    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=3, seed=0)
-    fields = dict(th_uwb=th, mixing=np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]]),
-                  output_dir=Path("unused"))
-    with pytest.raises(ConfigError, match=rf"^\[signal\] {n_pulses} pulse specs for 3 sources$"):
-        ExperimentConfig(pulses=[PulseSpec(order=0)] * n_pulses, **fields)
-    cfg = ExperimentConfig(pulses=[PulseSpec(order=0)] * 3, **fields)
-    assert build_sources(cfg).shape == (400, 3)
+def test_degenerate_pulse_message_is_the_same_from_file_and_code(tmp_path):
+    # an order-1 pulse one sample wide samples only its zero crossing
+    text = MINIMAL_CFG.replace("chip_len = 10\nframe_len = 40", "chip_len = 1\nframe_len = 4")
+    with pytest.raises(ConfigError) as from_file:
+        load_config(_write(tmp_path, text))
+    with pytest.raises(ValueError) as from_code:
+        ThUwbConfig(chip_len=1, frame_len=4, total_len=120,
+                    pulses=[PulseSpec(order=0), PulseSpec(order=1), PulseSpec(order=2)], seed=0)
+    expected = "degenerate pulse: order 1 at width 1 is identically zero"
+    assert str(from_code.value) == expected
+    assert str(from_file.value) == f"[signal]: {expected}"
+
+
+def test_overlap_mode_default_is_the_same_from_file_and_code(tmp_path):
+    # MINIMAL_CFG sets no overlap_mode, so file and code share the layout's default
+    cfg = load_config(_write(tmp_path, MINIMAL_CFG))
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
+                     pulses=[PulseSpec(order=k) for k in range(3)], seed=7)
+    assert cfg.th_uwb.overlap_mode is th.overlap_mode is OverlapMode.AT_MOST_TWO
+    assert cfg.th_uwb == th
+    assert np.array_equal(build_sources(cfg), generate_sources(th))
 
 
 def test_load_config_matrix_errors(tmp_path):
@@ -231,8 +252,8 @@ def test_overlap_mode_message_is_the_same_from_file_and_code(tmp_path):
     with pytest.raises(ConfigError) as from_file:
         load_config(_write(tmp_path, bad))
     with pytest.raises(ValueError) as from_code:
-        ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=3, seed=0,
-                    overlap_mode="sometimes")
+        ThUwbConfig(chip_len=10, frame_len=40, total_len=120, pulses=[PulseSpec(order=0)] * 3,
+                    seed=0, overlap_mode="sometimes")
     expected = "overlap_mode must be one of at_most_two, allow_three, got 'sometimes'"
     assert str(from_code.value) == expected
     assert str(from_file.value) == f"[run] overlap_mode = 'sometimes': {expected}"
@@ -244,10 +265,10 @@ def test_non_finite_settings_are_refused(tmp_path, key, value):
     text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FULL_CFG, flags=re.M)
     with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {value}$"):
         load_config(_write(tmp_path, text))
-    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=3, seed=0)
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, pulses=[PulseSpec(order=0)] * 3,
+                     seed=0)
     with pytest.raises(ConfigError, match=f"^{key} must be positive and finite"):
-        ExperimentConfig(th_uwb=th, pulses=[PulseSpec(order=0)] * 3,
-                         mixing=np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]]),
+        ExperimentConfig(th_uwb=th, mixing=np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]]),
                          output_dir=Path("unused"), **{key: value})
 
 
@@ -414,10 +435,11 @@ def mixing_cases(draw):
 def test_experiment_config_matches_the_three_site_oracle(case):
     a, n_sources = case
     expected = _three_site_messages(a, n_sources)
-    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=n_sources, seed=0)
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
+                     pulses=[PulseSpec(order=0)] * n_sources, seed=0,
+                     overlap_mode=OverlapMode.ALLOW_THREE)
     fields = dict(
         th_uwb=th,
-        pulses=[PulseSpec(order=0)] * n_sources,
         mixing=a.copy(),
         output_dir=Path("unused"),
     )

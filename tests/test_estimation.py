@@ -75,7 +75,7 @@ def test_build_histogram_refuses_a_ratio_whose_step_would_not_round_trip():
         ratios = np.array([n * Q] * 5 + [n * Q + Q] * 3 + [n * Q - Q] * 2)
         hist = build_histogram(ratios, Q)
         assert [round(k / Q) for k in hist.bins] == np.unique(quantize(ratios, Q)).tolist()
-        assert estimate_mixing(hist).n_sources == 1
+        assert estimate_mixing(hist, 0.1).n_sources == 1
 
 
 def test_estimate_mixing_merges_neighbor_bins():
@@ -89,7 +89,7 @@ def test_estimate_mixing_merges_neighbor_bins():
             np.full(1, 0.9),
         ]
     )
-    est = estimate_mixing(build_histogram(ratios, Q))
+    est = estimate_mixing(build_histogram(ratios, Q), peak_fraction=0.1)
     assert est.n_sources == 2
     assert sorted(est.ratios) == pytest.approx([0.5, 1.8], abs=1e-12)
 
@@ -208,7 +208,7 @@ def test_estimate_mixing_matches_the_two_pass_merge(hist, peak_fraction):
 def test_estimate_mixing_argument_validation():
     hist = build_histogram(np.array([1.0]), Q)
     with pytest.raises(ValueError, match="empty histogram"):
-        estimate_mixing(RatioHistogram(bins={}, quantum=Q, active_samples=0))
+        estimate_mixing(RatioHistogram(bins={}, quantum=Q, active_samples=0), 0.1)
     with pytest.raises(ValueError, match="peak_fraction"):
         estimate_mixing(hist, peak_fraction=1.0)
 
@@ -265,7 +265,7 @@ def test_end_to_end_ratio_recovery_exact():
     for k in range(3):
         s[200 * k : 200 * k + 120, k] = rng.normal(size=120)
     x = s @ a.T
-    est = estimate_mixing(build_histogram(compute_ratios(x, activity_eps=1e-9), Q))
+    est = estimate_mixing(build_histogram(compute_ratios(x, activity_eps=1e-9), Q), 0.1)
     assert est.n_sources == 3
     assert sorted(est.ratios) == pytest.approx(sorted(a[1] / a[0]), abs=1e-12)
 

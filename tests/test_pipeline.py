@@ -44,11 +44,11 @@ CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def _cfg(out_dir, seed=3, mode=OverlapMode.AT_MOST_TWO, **kw):
     th = ThUwbConfig(
-        chip_len=10, frame_len=40, total_len=1200, n_sources=3, seed=seed, overlap_mode=mode
+        chip_len=10, frame_len=40, total_len=1200, pulses=[PulseSpec(order=k) for k in range(3)],
+        seed=seed, overlap_mode=mode,
     )
     fields = dict(
         th_uwb=th,
-        pulses=[PulseSpec(order=k) for k in range(3)],
         mixing=np.array([[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]]),
         output_dir=Path(out_dir),
     )
@@ -105,8 +105,8 @@ def test_run_experiment_needs_two_rows(tmp_path):
     with pytest.raises(ConfigError, match="estimation requires exactly 2 mixture channels, got 1"):
         _cfg(
             tmp_path / "out",
-            th_uwb=ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=1, seed=0),
-            pulses=[PulseSpec(order=0)],
+            th_uwb=ThUwbConfig(chip_len=10, frame_len=40, total_len=400,
+                               pulses=[PulseSpec(order=0)], seed=0),
             mixing=np.array([[0.5]]),
         )
     with pytest.raises(ConfigError, match="exactly 2 mixture channels, got 3"):
@@ -137,12 +137,12 @@ def test_stage_chain_reproduces_run_bytes(tmp_path):
 def test_stage_mix_refuses_what_run_refuses(tmp_path):
     # run_experiment and every stage take an ExperimentConfig, so a matrix
     # outside the ratio model is refused before any stage can run
-    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=2, seed=5)
-    two = [PulseSpec(order=0), PulseSpec(order=1)]
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400,
+                     pulses=[PulseSpec(order=0), PulseSpec(order=1)], seed=5)
     three_rows = np.vstack([_cfg(tmp_path).mixing, [0.2, 0.9, 0.7]])
     for bad, message in (
         # zero first entry in column 1: outside the ratio model
-        (dict(th_uwb=th, pulses=two, mixing=np.eye(2)), "column 1 has a zero first entry"),
+        (dict(th_uwb=th, mixing=np.eye(2)), "column 1 has a zero first entry"),
         (dict(mixing=three_rows), "exactly 2 mixture channels, got 3"),
         (dict(mixing=np.array([[0.4, 0.6, 0.3, 0.9], [0.8, 0.1, 0.5, 0.2]])),
          "4 columns for 3 sources"),

@@ -52,7 +52,7 @@ def test_pulse_shape_order2_center_trough():
 
 
 def test_th_uwb_config_validation():
-    good = dict(chip_len=10, frame_len=40, total_len=120, n_sources=3, seed=0)
+    good = dict(chip_len=10, frame_len=40, total_len=120, pulses=[PulseSpec(order=0)] * 3, seed=0)
     ThUwbConfig(**good)
     with pytest.raises(ValueError, match="chip_len"):
         ThUwbConfig(**{**good, "chip_len": 0})
@@ -60,8 +60,6 @@ def test_th_uwb_config_validation():
         ThUwbConfig(**{**good, "frame_len": 45})
     with pytest.raises(ValueError, match="total_len"):
         ThUwbConfig(**{**good, "total_len": 39})
-    with pytest.raises(ValueError, match="n_sources"):
-        ThUwbConfig(**{**good, "n_sources": 0})
     with pytest.raises(ValueError, match="seed"):
         ThUwbConfig(**{**good, "seed": -1})
     with pytest.raises(ValueError, match="occupancy"):
@@ -70,17 +68,30 @@ def test_th_uwb_config_validation():
         ThUwbConfig(**{**good, "overlap_mode": "sometimes"})
     assert str(info.value) == "overlap_mode must be one of at_most_two, allow_three, got 'sometimes'"
     cfg = ThUwbConfig(**good)
-    assert cfg.overlap_mode is OverlapMode.ALLOW_THREE
-    assert ThUwbConfig(**good, overlap_mode="at_most_two").overlap_mode is OverlapMode.AT_MOST_TWO
+    assert cfg.overlap_mode is OverlapMode.AT_MOST_TWO
+    assert ThUwbConfig(**good, overlap_mode="allow_three").overlap_mode is OverlapMode.ALLOW_THREE
     assert cfg.n_chips == 4
     assert cfg.n_frames == 3
     assert ThUwbConfig(**{**good, "total_len": 121}).n_frames == 4
 
 
+def test_layout_holds_one_pulse_per_source():
+    fields = dict(chip_len=10, frame_len=40, total_len=120, seed=0)
+    with pytest.raises(ValueError) as info:
+        ThUwbConfig(pulses=(), **fields)
+    assert str(info.value) == "pulses must hold one PulseSpec per source, got none"
+    for n in (1, 2, 3):
+        pulses = [PulseSpec(order=k % 3, amplitude=k + 1.0) for k in range(n)]
+        cfg = ThUwbConfig(pulses=pulses, **fields)
+        assert cfg.n_sources == len(cfg.pulses) == n
+        assert cfg.pulses == tuple(pulses)
+        assert generate_sources(cfg).shape == (120, n)
+
+
 def test_generate_sources_layout():
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, n_sources=2, seed=3)
-    pulses = [PulseSpec(order=0), PulseSpec(order=1)]
-    src = generate_sources(cfg, pulses)
+    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
+                      pulses=[PulseSpec(order=0), PulseSpec(order=1)], seed=3)
+    src = generate_sources(cfg)
     assert src.shape == (120, 2)
     # at most one pulse per frame, confined to a single chip
     for k in range(2):
@@ -89,29 +100,25 @@ def test_generate_sources_layout():
             seg = src[40 * f : 40 * (f + 1), k]
             chips = {int(t) // 10 for t in np.flatnonzero(seg)}
             assert len(chips) <= 1
-    for n_pulses in (1, 3):
-        with pytest.raises(ValueError, match=f"expected 2 pulse specs, got {n_pulses}"):
-            generate_sources(cfg, [PulseSpec(order=0)] * n_pulses)
 
 
 def test_generate_sources_deterministic_and_per_source():
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=3, seed=7)
-    pulses = [PulseSpec(order=0)] * 3
-    a = generate_sources(cfg, pulses)
-    b = generate_sources(cfg, pulses)
+    fields = dict(chip_len=10, frame_len=40, total_len=400, seed=7,
+                  overlap_mode=OverlapMode.ALLOW_THREE)
+    cfg = ThUwbConfig(pulses=[PulseSpec(order=0)] * 3, **fields)
+    a = generate_sources(cfg)
+    b = generate_sources(cfg)
     assert np.array_equal(a, b)
     # adding a source leaves the existing source streams untouched
-    cfg4 = ThUwbConfig(chip_len=10, frame_len=40, total_len=400, n_sources=4, seed=7)
-    c = generate_sources(cfg4, pulses + [PulseSpec(order=0)])
+    c = generate_sources(ThUwbConfig(pulses=[PulseSpec(order=0)] * 4, **fields))
     assert np.array_equal(a, c[:, :3])
 
 
 def test_generate_sources_occupancy_thins_frames():
-    base = dict(chip_len=10, frame_len=40, total_len=4000, n_sources=1, seed=5)
-    pulses = [PulseSpec(order=0)]
-    full = generate_sources(ThUwbConfig(**base, occupancy=1.0), pulses)
-    half = generate_sources(ThUwbConfig(**base, occupancy=0.5), pulses)
-    empty = generate_sources(ThUwbConfig(**base, occupancy=0.0), pulses)
+    base = dict(chip_len=10, frame_len=40, total_len=4000, pulses=[PulseSpec(order=0)], seed=5)
+    full = generate_sources(ThUwbConfig(**base, occupancy=1.0))
+    half = generate_sources(ThUwbConfig(**base, occupancy=0.5))
+    empty = generate_sources(ThUwbConfig(**base, occupancy=0.0))
     assert np.all(empty == 0.0)
     # the thinned train keeps the surviving frames' pulses bit-identical
     kept = half[:, 0] != 0.0
@@ -124,22 +131,25 @@ def test_generate_sources_hop_windows():
     # windows, every middle source keeps a chip of its own from chip 3 on
     for n_chips, chips in ((4, [{0, 1}, {3}, {1, 2}]), (6, [{0, 1}, {3}, {4}, {1, 2}])):
         cfg = ThUwbConfig(chip_len=10, frame_len=10 * n_chips, total_len=100 * n_chips,
-                          n_sources=len(chips), seed=1, overlap_mode=OverlapMode.AT_MOST_TWO)
-        src = generate_sources(cfg, [PulseSpec(order=0)] * len(chips))
+                          pulses=[PulseSpec(order=0)] * len(chips), seed=1,
+                          overlap_mode=OverlapMode.AT_MOST_TWO)
+        src = generate_sources(cfg)
         for k, want in enumerate(chips):
             starts = np.flatnonzero(src[:, k])[::10]
             assert set((starts % cfg.frame_len) // 10) == want
     # allow_three hops every source over the whole frame
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=4000, n_sources=3, seed=1)
-    src = generate_sources(cfg, [PulseSpec(order=0)] * 3)
+    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=4000, pulses=[PulseSpec(order=0)] * 3,
+                      seed=1, overlap_mode=OverlapMode.ALLOW_THREE)
+    src = generate_sources(cfg)
     for k in range(3):
         assert set((np.flatnonzero(src[:, k])[::10] % 40) // 10) == {0, 1, 2, 3}
 
 
 def test_generate_sources_trailing_partial_frame():
     # 3 full frames plus 15 samples: only chip 0 of the last frame fits
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=135, n_sources=1, seed=2)
-    src = generate_sources(cfg, [PulseSpec(order=0)])
+    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=135, pulses=[PulseSpec(order=0)],
+                      seed=2)
+    src = generate_sources(cfg)
     assert src.shape == (135, 1)
     nz = np.flatnonzero(src[120:, 0])
     assert np.all(nz < 10)
@@ -188,28 +198,25 @@ def layouts(draw):
     frame_len = chip_len * draw(st.integers(floor, floor + 3))
     # whole frames plus a trailing partial one, possibly empty
     total_len = frame_len * draw(st.integers(1, 30)) + draw(st.integers(0, frame_len - 1))
-    cfg = ThUwbConfig(
+    amplitudes = st.sampled_from([1.0, -1.0, 2.5, 0.3, 1e-3])
+    return ThUwbConfig(
         chip_len=chip_len,
         frame_len=frame_len,
         total_len=total_len,
-        n_sources=n,
+        pulses=[PulseSpec(order=draw(st.sampled_from((0, 1, 2))), amplitude=draw(amplitudes))
+                for _ in range(n)],
         seed=draw(st.integers(0, 2**32)),
         occupancy=draw(st.floats(0.0, 1.0)),
         overlap_mode=mode,
     )
-    amplitudes = st.sampled_from([1.0, -1.0, 2.5, 0.3, 1e-3])
-    pulses = [PulseSpec(order=draw(st.sampled_from((0, 1, 2))), amplitude=draw(amplitudes))
-              for _ in range(n)]
-    return cfg, pulses
 
 
 @settings(max_examples=300, deadline=None)
-@given(layout=layouts())
-def test_generate_sources_matches_the_explicit_window_oracle(layout):
-    cfg, pulses = layout
+@given(cfg=layouts())
+def test_generate_sources_matches_the_explicit_window_oracle(cfg):
     windows = _old_hop_windows_for_mode(cfg.overlap_mode, cfg.n_sources, cfg.n_chips)
-    got = generate_sources(cfg, pulses)
-    want = _old_generate_sources(cfg, pulses, windows)
+    got = generate_sources(cfg)
+    want = _old_generate_sources(cfg, cfg.pulses, windows)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if cfg.overlap_mode is OverlapMode.AT_MOST_TWO:
         assert max_simultaneous_sources(got) <= 2
@@ -218,8 +225,8 @@ def test_generate_sources_matches_the_explicit_window_oracle(layout):
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 7), n_chips=st.integers(1, 8), mode=st.sampled_from(list(OverlapMode)))
 def test_layout_refuses_exactly_what_the_old_windows_refused(n, n_chips, mode):
-    fields = dict(chip_len=3, frame_len=3 * n_chips, total_len=30 * n_chips, n_sources=n,
-                  seed=0, overlap_mode=mode)
+    fields = dict(chip_len=3, frame_len=3 * n_chips, total_len=30 * n_chips,
+                  pulses=[PulseSpec(order=0)] * n, seed=0, overlap_mode=mode)
     try:
         _old_hop_windows_for_mode(mode, n, n_chips)
     except ValueError as exc:
