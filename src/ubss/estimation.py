@@ -13,19 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import finite_mixtures
+
+DEGENERATE_TOL = 1e-12  # least gap between estimated ratios: separate divides by it
+
 
 @dataclass
 class RatioHistogram:
-    """Counts of quantized mixture ratios keyed by the quantized value."""
+    """Counts of quantized mixture ratios keyed by the quantized value; never empty."""
 
     bins: dict[float, int]
     quantum: float
     active_samples: int
 
+    def __post_init__(self) -> None:
+        if not self.bins:
+            raise ValueError("empty histogram: no active samples to estimate from")
+
 
 @dataclass
 class EstimatedMatrix:
-    """Estimated column ratios, one per detected source."""
+    """Estimated column ratios, one per detected source, at least DEGENERATE_TOL apart."""
 
     ratios: np.ndarray
 
@@ -35,8 +43,10 @@ class EstimatedMatrix:
             raise ValueError("need at least one estimated ratio")
         if not np.all(np.isfinite(r)):
             raise ValueError("estimated ratios must be finite")
-        if np.unique(r).size != r.size:
-            raise ValueError("estimated ratios must be pairwise distinct")
+        with np.errstate(over="ignore"):  # a gap past the largest float is inf
+            closest = np.diff(np.sort(r)).min(initial=np.inf)  # between sorted neighbours
+        if closest < DEGENERATE_TOL:
+            raise ValueError(f"estimated ratios must be pairwise distinct by {DEGENERATE_TOL:g}")
         self.ratios = r
 
     @property
@@ -51,11 +61,7 @@ def checked_mixtures(mixtures: np.ndarray, activity_eps: float, stage: str) -> n
         raise ValueError(f"{stage} needs exactly 2 mixture channels, got shape {x.shape}")
     if not 0.0 < activity_eps < np.inf:
         raise ValueError(f"activity_eps must be positive and finite, got {activity_eps}")
-    # one pass over the array; the row scan runs only on failure
-    if not np.isfinite(x).all():
-        row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-        raise ValueError(f"mixtures row {row} holds NaN or inf")
-    return x
+    return finite_mixtures(x)
 
 
 def compute_ratios(mixtures: np.ndarray, activity_eps: float) -> np.ndarray:
@@ -107,8 +113,6 @@ def estimate_mixing(hist: RatioHistogram, peak_fraction: float) -> EstimatedMatr
     are kept).  Ratios come out ordered by descending count, ties by lower
     ratio.
     """
-    if not hist.bins:
-        raise ValueError("empty histogram: no active samples to estimate from")
     if not 0.0 < peak_fraction < 1.0:
         raise ValueError(f"peak_fraction must lie in (0, 1), got {peak_fraction}")
     unmerged = {round(key / hist.quantum): count for key, count in hist.bins.items()}

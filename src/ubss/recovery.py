@@ -14,8 +14,6 @@ import numpy as np
 
 from .estimation import EstimatedMatrix, checked_mixtures
 
-DEGENERATE_TOL = 1e-12
-
 
 def separate(
     mixtures: np.ndarray,
@@ -43,9 +41,7 @@ def separate(
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :2]
     i, j = nearest.T
     a_i, a_j = est.ratios[i], est.ratios[j]
-    denom = a_j - a_i
-    if np.any(np.abs(denom) < DEGENERATE_TOL):
-        raise ValueError("degenerate pair: selected column ratios nearly coincide")
+    denom = a_j - a_i  # |denom| >= 1e-12: EstimatedMatrix keeps its ratios that far apart
     out = np.zeros((x.shape[0], est.n_sources))
     pairs = np.full((x.shape[0], 2), -1, dtype=np.int64)
     out[rows, i] = (a_j * x1a - x2a) / denom

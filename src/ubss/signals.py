@@ -175,7 +175,10 @@ def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
 
 
 def mix(sources: np.ndarray, mixing: np.ndarray) -> np.ndarray:
-    """Apply x(t) = A s(t) rowwise: (T, N) sources, (M, N) matrix -> (T, M)."""
+    """Apply x(t) = A s(t) rowwise: (T, N) sources, (M, N) matrix -> (T, M).
+
+    A product that overflows is refused, naming its first row that holds inf or NaN.
+    """
     s = np.asarray(sources, dtype=float)
     a = np.asarray(mixing, dtype=float)
     if s.ndim != 2:
@@ -186,7 +189,16 @@ def mix(sources: np.ndarray, mixing: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"mixing matrix has {a.shape[1]} columns but there are {s.shape[1]} sources"
         )
-    return s @ a.T
+    with np.errstate(over="ignore"):
+        return finite_mixtures(s @ a.T)
+
+
+def finite_mixtures(x: np.ndarray) -> np.ndarray:
+    """x itself; refused, naming its first such row, if it holds NaN or inf."""
+    if not np.isfinite(x).all():  # one pass over the array; the row scan runs only on failure
+        row = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise ValueError(f"mixtures row {row} holds NaN or inf")
+    return x
 
 
 def validate_mixing_matrix(mixing: np.ndarray) -> np.ndarray:

@@ -42,8 +42,10 @@ def waveform_svg(signals: np.ndarray) -> str:
     lowest and the highest y are kept, in time order, at their own x (M4).
     """
     x = np.asarray(signals, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2 or not np.isfinite(x).all():
-        raise ValueError(f"waveform plot needs a finite (T, K) array, T >= 2, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValueError(f"waveform plot needs a (T, K) array, T >= 2, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("waveform plot needs finite values, got NaN or inf")
     n_samples, n_channels = x.shape
     peak = float(np.max(np.abs(x))) or 1.0
     plot_w = _WIDTH - 2 * _MARGIN
@@ -82,27 +84,24 @@ def bar_graph_svg(hist: RatioHistogram) -> str:
         f'<line x1="{_MARGIN}" y1="{_BAR_HEIGHT - _MARGIN}" x2="{_BAR_WIDTH - _MARGIN}" '
         f'y2="{_BAR_HEIGHT - _MARGIN}" stroke="#333333" stroke-width="1"/>'
     ]
-    if hist.bins:
-        keys = sorted(hist.bins)
-        lo, hi = keys[0], keys[-1]
-        span = hi - lo if hi > lo else 1.0
-        max_count = max(hist.bins.values())
-        d = _ratio_decimals(hist.quantum)
-        plot_w = _BAR_WIDTH - 2 * _MARGIN
-        plot_h = _BAR_HEIGHT - 2 * _MARGIN
-        for key in keys:
-            h = plot_h * hist.bins[key] / max_count
-            cx = _MARGIN + plot_w * (key - lo) / span
-            body.append(
-                f'<rect x="{cx - 1.5:.2f}" y="{_BAR_HEIGHT - _MARGIN - h:.2f}" width="3" '
-                f'height="{h:.2f}" fill="#1f4e8c"/>'
-            )
+    keys = sorted(hist.bins)
+    lo, hi = keys[0], keys[-1]
+    span = hi - lo if hi > lo else 1.0
+    max_count = max(hist.bins.values())
+    d = _ratio_decimals(hist.quantum)
+    plot_w = _BAR_WIDTH - 2 * _MARGIN
+    plot_h = _BAR_HEIGHT - 2 * _MARGIN
+    for key in keys:
+        h = plot_h * hist.bins[key] / max_count
+        cx = _MARGIN + plot_w * (key - lo) / span
         body.append(
-            f'<text x="{_MARGIN}" y="{_BAR_HEIGHT - 5}" font-size="11" '
-            f'fill="#333333">{lo:.{d}f}</text>'
+            f'<rect x="{cx - 1.5:.2f}" y="{_BAR_HEIGHT - _MARGIN - h:.2f}" width="3" '
+            f'height="{h:.2f}" fill="#1f4e8c"/>'
         )
-        body.append(
-            f'<text x="{_BAR_WIDTH - _MARGIN - 50}" y="{_BAR_HEIGHT - 5}" font-size="11" '
-            f'fill="#333333">{hi:.{d}f}</text>'
-        )
+    body += [
+        f'<text x="{_MARGIN}" y="{_BAR_HEIGHT - 5}" font-size="11" '
+        f'fill="#333333">{lo:.{d}f}</text>',
+        f'<text x="{_BAR_WIDTH - _MARGIN - 50}" y="{_BAR_HEIGHT - 5}" font-size="11" '
+        f'fill="#333333">{hi:.{d}f}</text>',
+    ]
     return _svg(_BAR_WIDTH, _BAR_HEIGHT, body)

@@ -248,12 +248,29 @@ def test_degenerate_estimated_matrix_is_rejected(tmp_path, capsys):
     assert main(["mix", cfg]) == 0
     capsys.readouterr()
     matrix = tmp_path / "near_dupe.csv"
-    matrix.write_text("ratio\n2.0\n2.0000000000001\n")
-    assert main(["separate", cfg, "--matrix", str(matrix)]) == 1
-    assert "degenerate pair" in capsys.readouterr().err
-    matrix.write_text("ratio\n2.0\n2.0\n")
-    assert main(["separate", cfg, "--matrix", str(matrix)]) == 1
-    assert "pairwise distinct" in capsys.readouterr().err
+    # refused when the file is read, before any sample is separated
+    for text in ("ratio\n2.0\n2.0000000000001\n", "ratio\n2.0\n2.0\n", "ratio\n-3\n2\n2\n"):
+        matrix.write_text(text)
+        assert main(["separate", cfg, "--matrix", str(matrix)]) == 1
+        assert capsys.readouterr().err == (
+            f"ubss separate: {matrix}: estimated ratios must be pairwise distinct by 1e-12\n")
+    assert not (tmp_path / "out" / "separated.csv").exists()
+
+
+def test_run_and_mix_refuse_mixtures_that_overflow(tmp_path, capsys):
+    # finite sources and a finite matrix whose product overflows to inf
+    text = BASE_CFG.replace("pulse_orders = 0, 1, 2", "pulse_orders = 0, 1, 2\n"
+                            "pulse_amplitudes = 1e300, 1e300, 1e300")
+    cfg = _write_cfg(tmp_path, text.replace("matrix = 0.4", "matrix = 4e10"))
+    assert main(["run", cfg]) == 1
+    run_err = capsys.readouterr().err
+    assert main(["generate", cfg]) == 0
+    assert main(["mix", cfg]) == 1
+    mix_err = capsys.readouterr().err
+    assert run_err == "ubss run: mixtures row 13 holds NaN or inf\n"
+    assert mix_err == "ubss mix: mixtures row 13 holds NaN or inf\n"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        pipeline.SOURCES_CSV, pipeline.SOURCES_SVG]
 
 
 def test_out_dir_flag_redirects_everything(tmp_path):

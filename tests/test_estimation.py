@@ -207,8 +207,11 @@ def test_estimate_mixing_matches_the_two_pass_merge(hist, peak_fraction):
 
 def test_estimate_mixing_argument_validation():
     hist = build_histogram(np.array([1.0]), Q)
-    with pytest.raises(ValueError, match="empty histogram"):
-        estimate_mixing(RatioHistogram(bins={}, quantum=Q, active_samples=0), 0.1)
+    # an empty histogram cannot be built, so estimate_mixing never sees one
+    with pytest.raises(ValueError, match="empty histogram: no active samples to estimate from"):
+        RatioHistogram(bins={}, quantum=Q, active_samples=0)
+    with pytest.raises(ValueError, match="empty histogram: no active samples to estimate from"):
+        build_histogram(np.empty(0), Q)
     with pytest.raises(ValueError, match="peak_fraction"):
         estimate_mixing(hist, peak_fraction=1.0)
 
@@ -224,6 +227,8 @@ def test_estimated_matrix_shape_and_validation():
         EstimatedMatrix(ratios=(1.0, float("inf")))
     with pytest.raises(ValueError, match="distinct"):
         EstimatedMatrix(ratios=(1.0, 1.0))
+    # their gap overflows to inf, which is far apart, and no warning is raised
+    assert EstimatedMatrix(ratios=(1e308, -1e308)).n_sources == 2
 
 
 def test_compute_ratios_keeps_only_denominated_samples():

@@ -1,10 +1,14 @@
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ubss import EstimatedMatrix, separate
-from ubss.recovery import DEGENERATE_TOL
+from ubss.estimation import DEGENERATE_TOL
 
 # Per-sample scalar reference of the vectorized separate(): one angle, one
 # base pair and one 2x2 solve at a time.
@@ -35,14 +39,14 @@ def select_base_pair(theta_t: float, angles: np.ndarray) -> BasePair:
     return BasePair(int(order[0]), int(order[1]))
 
 
-def solve_pair(est: EstimatedMatrix, pair: BasePair, x1: float, x2: float) -> np.ndarray:
+def solve_pair(ratios, pair: BasePair, x1: float, x2: float) -> np.ndarray:
     """Solve x = [1 1; a_i a_j] [s_i; s_j] for one sample, zeros elsewhere."""
-    a = est.ratios
+    a = np.asarray(ratios, dtype=float)
     a_i, a_j = float(a[pair.i]), float(a[pair.j])
     denom = a_j - a_i
     if abs(denom) < DEGENERATE_TOL:
         raise ValueError(f"degenerate pair: ratios {a_i} and {a_j} nearly coincide")
-    out = np.zeros(est.n_sources)
+    out = np.zeros(a.size)
     out[pair.i] = (a_j * x1 - x2) / denom
     out[pair.j] = (x2 - a_i * x1) / denom
     return out
@@ -80,11 +84,10 @@ def test_select_base_pair_needs_two_columns():
 
 
 def test_solve_pair_inverts_two_by_two():
-    est = EstimatedMatrix(ratios=(2.0, 0.5, -0.8))
     s_i, s_j = 1.3, -0.7
     x1 = s_i + s_j
     x2 = 2.0 * s_i + 0.5 * s_j
-    out = solve_pair(est, BasePair(0, 1), x1, x2)
+    out = solve_pair((2.0, 0.5, -0.8), BasePair(0, 1), x1, x2)
     assert out.shape == (3,)
     assert out[0] == pytest.approx(s_i, rel=1e-14)
     assert out[1] == pytest.approx(s_j, rel=1e-14)
@@ -92,9 +95,9 @@ def test_solve_pair_inverts_two_by_two():
 
 
 def test_solve_pair_rejects_coincident_ratios():
-    est = EstimatedMatrix(ratios=(2.0, 2.0 + 1e-13))
+    # raw ratios: EstimatedMatrix itself refuses a pair this close
     with pytest.raises(ValueError, match="degenerate pair"):
-        solve_pair(est, BasePair(0, 1), 1.0, 1.0)
+        solve_pair((2.0, 2.0 + 1e-13), BasePair(0, 1), 1.0, 1.0)
 
 
 def test_separate_matches_per_sample_oracle():
@@ -117,7 +120,7 @@ def test_separate_matches_per_sample_oracle():
             continue
         pair = select_base_pair(sample_angle(x1, x2), angles)
         assert tuple(pairs[t]) == pair
-        assert np.allclose(out[t], solve_pair(est, pair, x1, x2), rtol=1e-14, atol=0.0)
+        assert np.allclose(out[t], solve_pair(est.ratios, pair, x1, x2), rtol=1e-14, atol=0.0)
 
 
 def test_separate_returns_array_only_by_default():
@@ -165,9 +168,14 @@ def test_separate_refuses_non_finite_mixtures(channel, value):
 
 
 def test_separate_rejects_near_duplicate_ratios():
-    est = EstimatedMatrix(ratios=(2.0, 2.0 + 1e-13, 0.5))
-    with pytest.raises(ValueError, match="degenerate pair"):
-        separate(np.array([[1.0, 2.0]]), est, 1e-12)
+    # the estimated matrix refuses them when built, so separate never sees them
+    with pytest.raises(ValueError, match="pairwise distinct by 1e-12"):
+        EstimatedMatrix(ratios=(2.0, 2.0 + 1e-13, 0.5))
+    # ratios DEGENERATE_TOL apart are kept, and their pair still solves
+    est = EstimatedMatrix(ratios=(2.0, 2.0 + 2 * DEGENERATE_TOL, 0.5))
+    out, pairs = separate(np.array([[1.0, 2.0]]), est, 1e-12, return_pairs=True)
+    assert tuple(pairs[0]) == (0, 1)
+    assert np.isfinite(out).all()
 
 
 def test_separate_subnormal_x1_is_vertical_without_a_warning():
@@ -190,3 +198,66 @@ def test_separate_zero_x1_active_sample():
     s_i, s_j = out[0]
     assert s_i + s_j == pytest.approx(0.0, abs=1e-15)
     assert 2.0 * s_i + 0.5 * s_j == pytest.approx(1.0, rel=1e-14)
+
+
+# The estimated matrix's gap rule, and that it is all the 2x2 solve needs.
+
+_GAPS = (0.0, 0.5e-12, 1e-12, 2e-12)
+
+
+@st.composite
+def _ratio_sets(draw, min_size=1):
+    """Ratios in [-1, 1] of both signs, well apart or not, some with a near copy
+    whose gap lies around DEGENERATE_TOL."""
+    base = draw(st.one_of(
+        st.lists(st.integers(-8, 8), min_size=min_size, max_size=6, unique=True).map(
+            lambda ks: [k / 8 for k in ks]),
+        st.lists(st.floats(-1.0, 1.0), min_size=min_size, max_size=6),
+    ))
+    ratios = list(base)
+    for r in base:
+        if draw(st.booleans()):
+            gap = draw(st.sampled_from(_GAPS))
+            ratios.append(r - gap if r > 0 else r + gap)
+    return draw(st.permutations(ratios))
+
+
+def _smallest_gap(ratios) -> float:
+    return min((abs(a - b) for a, b in itertools.combinations(ratios, 2)), default=np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratios=_ratio_sets())
+@example(ratios=[0.25, 0.25])
+@example(ratios=[0.0, -0.0])
+@example(ratios=[0.0, 0.5e-12])
+@example(ratios=[0.0, 1e-12])
+@example(ratios=[-1.0, 1.0, -1.0 + 2e-12])
+def test_estimated_matrix_accepts_exactly_the_ratios_degenerate_tol_apart(ratios):
+    if _smallest_gap(ratios) >= DEGENERATE_TOL:
+        assert EstimatedMatrix(ratios=tuple(ratios)).ratios.tolist() == ratios
+    else:
+        with pytest.raises(ValueError, match="pairwise distinct by 1e-12"):
+            EstimatedMatrix(ratios=tuple(ratios))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ratios=_ratio_sets(min_size=2),
+    x=arrays(float, st.tuples(st.integers(1, 12), st.just(2)), elements=st.floats(-1.0, 1.0)),
+    x2_on_axis=st.lists(st.floats(-1.0, 1.0), max_size=4),
+    eps=st.sampled_from([1e-300, 1e-12, 1e-6]),
+)
+def test_separate_solves_every_pair_an_estimated_matrix_can_hold(ratios, x, x2_on_axis, eps):
+    # any two ratios the matrix holds are far enough apart for the 2x2 solve,
+    # so separate needs no degenerate-pair check of its own
+    try:
+        est = EstimatedMatrix(ratios=tuple(ratios))
+    except ValueError:
+        assume(False)
+    on_axis = [[x1, x2] for x2 in x2_on_axis for x1 in (0.0, -0.0)]
+    mixtures = np.concatenate([x, np.array(on_axis).reshape(-1, 2)])
+    out, pairs = separate(mixtures, est, eps, return_pairs=True)
+    assert out.shape == (mixtures.shape[0], len(ratios))
+    assert np.isfinite(out).all()
+    assert ((pairs >= 0) == (np.abs(mixtures).max(axis=1) > eps)[:, None]).all()

@@ -253,6 +253,18 @@ def test_mix_shapes_and_values():
         mix(s, a[0])
 
 
+def test_mix_refuses_a_product_that_overflows():
+    # each source is finite and so is the matrix, but 4e10 * 1e300 is not
+    s = np.zeros((6, 2))
+    s[2] = [1e300, 0.0]
+    s[4:] = 1e300
+    a = np.array([[1.0, 4e10], [0.8, 0.1]])
+    assert np.isfinite(mix(s[:4], a)).all()
+    for sources in (s, -s, s * [1.0, -1.0]):
+        with pytest.raises(ValueError, match=r"^mixtures row 4 holds NaN or inf$"):
+            mix(sources, a)
+
+
 def test_validate_mixing_matrix():
     a = np.array([[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
     assert np.array_equal(validate_mixing_matrix(a), a)

@@ -163,7 +163,7 @@ def test_waveform_svg_scales_the_largest_finite_values_without_overflow():
 def test_waveform_svg_refuses_non_finite_samples(bad):
     x = np.zeros((5, 2))
     x[3, 1] = bad
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"^waveform plot needs finite values, got NaN or inf$"):
         waveform_svg(x)
 
 
