@@ -7,9 +7,10 @@
     ubss separate CONFIG       mixtures.csv + estimated_matrix.csv -> separated.csv
     ubss score CONFIG          sources.csv + separated.csv -> report.csv
 
-Flags override config values; --seed is the one override of the config seed.
-Stage inputs default to the artifact names inside the output directory, so
-the stages chain.
+Every command takes --out-dir, which replaces the config's output directory;
+run and generate also take --seed, which replaces the config seed.  The
+estimation settings come from the config file alone.  Stage inputs default to
+the artifact names inside the output directory, so the stages chain.
 """
 
 from __future__ import annotations
@@ -22,31 +23,26 @@ from pathlib import Path
 from . import pipeline
 from .config import load_config
 
-# Every flag: its type and help text.  --seed and the estimation flags
-# override the config, the others name files.
+# Every flag: its type and help text.  --seed and --out-dir override the
+# config, the others name files.
 _FLAGS = {
     "seed": (int, "override the config seed"),
-    "quantum": (float, "ratio quantization step"),
-    "peak_fraction": (float, "histogram peak threshold"),
-    "activity_eps": (float, "absolute activity threshold"),
     "sources": (str, "true sources CSV path"),
     "mixtures": (str, "mixtures CSV path"),
     "matrix": (str, "estimated matrix CSV path"),
     "separated": (str, "separated signals CSV path"),
     "out_dir": (Path, "override the output directory"),
 }
-_ESTIMATION = ("quantum", "peak_fraction", "activity_eps")
 
 # Every subcommand: its help text, the config flags it takes, and the CSVs it
 # reads, each a flag that defaults to that artifact in the output directory.
 # A command other than run calls pipeline.stage_<command>(cfg, *those CSVs).
 _COMMANDS = {
-    "run": ("full pipeline", ("seed", *_ESTIMATION), {}),
+    "run": ("full pipeline", ("seed",), {}),
     "generate": ("synthesize sources", ("seed",), {}),
-    "mix": ("mix sources", ("seed",), {"sources": pipeline.SOURCES_CSV}),
-    "estimate": ("estimate the mixing matrix", _ESTIMATION,
-                 {"mixtures": pipeline.MIXTURES_CSV}),
-    "separate": ("recover sources", ("activity_eps",),
+    "mix": ("mix sources", (), {"sources": pipeline.SOURCES_CSV}),
+    "estimate": ("estimate the mixing matrix", (), {"mixtures": pipeline.MIXTURES_CSV}),
+    "separate": ("recover sources", (),
                  {"mixtures": pipeline.MIXTURES_CSV, "matrix": pipeline.MATRIX_CSV}),
     "score": ("score separation against the truth", (),
               {"sources": pipeline.SOURCES_CSV, "separated": pipeline.SEPARATED_CSV}),
@@ -70,12 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     cfg = load_config(args.config, seed_override=getattr(args, "seed", None))
-    # ExperimentConfig validates the overridden values when replace rebuilds it
-    updates = {key: getattr(args, key) for key in _COMMANDS[args.command][1]
-               if key != "seed" and getattr(args, key) is not None}
-    if args.out_dir is not None:
-        updates["output_dir"] = args.out_dir
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    return cfg if args.out_dir is None else dataclasses.replace(cfg, output_dir=args.out_dir)
 
 
 def main(argv=None) -> int:

@@ -25,16 +25,15 @@ Config files are flat key-value text with section headers, for example:
 _KEYS lists every key; unknown ones are refused, and one left out takes the
 default of the object it configures.  n_sources sets the length of the pulse
 lists, whose defaults are orders 0, 1, 2, 0, ... and amplitude 1; the lists
-become the layout's pulses.  Matrix rows are separated by semicolons, entries
-by whitespace; "random" draws a reproducible matrix instead ([mixing] seed,
-by default the signal seed).  Every pulse is chip_len samples wide.  Without
-activity_eps every stage derives it as 1e-6 times the largest |x1| it sees.
+become the layout's pulses.  [mixing] matrix is required: rows are separated
+by semicolons, entries by whitespace.  Every pulse is chip_len samples wide.
+Without activity_eps every stage derives it as 1e-6 times the largest |x1| it
+sees.
 """
 
 from __future__ import annotations
 
 import configparser
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,27 +85,6 @@ def default_activity_eps(x1: np.ndarray) -> float:
     return ACTIVITY_REL * peak
 
 
-def random_mixing(n_sources: int, seed: int) -> np.ndarray:
-    """Reproducible random 2 x n_sources mixing matrix with separated column ratios.
-
-    Entries are uniform in [0.1, 1.0); columns are redrawn until all pairwise
-    first-row-normalized ratios differ by at least 0.05, keeping the ratio
-    histogram modes distinguishable; such a draw is a valid mixing matrix.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng([seed, 0xA])
-    a = rng.uniform(0.1, 1.0, size=(2, n_sources))
-    for _ in range(1000):
-        ratios = a[1] / a[0]
-        close = next((j for i, j in itertools.combinations(range(n_sources), 2)
-                      if abs(ratios[i] - ratios[j]) < 0.05), None)
-        if close is None:
-            return a
-        a[:, close] = rng.uniform(0.1, 1.0, size=2)
-    raise ConfigError("could not draw a mixing matrix with separated column ratios")
-
-
 def parse_matrix(text: str) -> np.ndarray:
     """Parse semicolon-separated rows of whitespace-separated numbers."""
     rows = []
@@ -129,11 +107,6 @@ def _list(cast):
     return lambda raw: [cast(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _matrix(raw: str) -> np.ndarray | None:
-    """The matrix the value spells, or None for "random" (draw one)."""
-    return None if raw.strip().lower() == "random" else parse_matrix(raw)
-
-
 # Every key of a config file and the parser of its value, per section:
 # (required keys, optional keys).  It is also the list of known keys.  An
 # optional key missing from the file is not passed on, so its default lives
@@ -143,7 +116,7 @@ _KEYS = {
         {"chip_len": int, "frame_len": int, "total_len": int, "n_sources": int, "seed": int},
         {"occupancy": float, "pulse_orders": _list(int), "pulse_amplitudes": _list(float)},
     ),
-    "mixing": ({}, {"matrix": _matrix, "seed": int}),
+    "mixing": ({"matrix": parse_matrix}, {}),
     "estimation": ({}, {"quantum": float, "peak_fraction": float, "activity_eps": float}),
     "run": ({"output_dir": Path}, {"overlap_mode": OverlapMode}),
 }
@@ -193,7 +166,7 @@ def _read(path, seed_override: int | None) -> dict[str, dict]:
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Read an experiment config file; seed_override replaces the file seed."""
     values = _read(path, seed_override)
-    signal, mixing, run = values["signal"], values["mixing"], values["run"]
+    signal, run = values["signal"], values["run"]
     n = signal.pop("n_sources")
     if n < 1:
         raise ConfigError(f"[signal] n_sources must be >= 1, got {n}")
@@ -207,12 +180,5 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         th = ThUwbConfig(**signal, pulses=pulses, **run)
     except ValueError as exc:
         raise ConfigError(f"[signal]: {exc}") from None
-
-    matrix = mixing.get("matrix")
-    if matrix is None:
-        try:
-            matrix = random_mixing(n, mixing.get("seed", th.seed))
-        except ValueError as exc:
-            raise ConfigError(f"[mixing] {exc}") from None
-    return ExperimentConfig(th_uwb=th, mixing=matrix, output_dir=output_dir,
-                            **values["estimation"])
+    return ExperimentConfig(th_uwb=th, mixing=values["mixing"]["matrix"],
+                            output_dir=output_dir, **values["estimation"])

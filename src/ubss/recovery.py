@@ -23,10 +23,11 @@ def separate(
 ):
     """Recover (T, N) source estimates from (T, 2) mixtures.
 
-    Mixtures holding NaN or inf are refused, naming the first such row.
-    Samples with max(|x1|, |x2|) <= activity_eps are left all-zero.  With
-    return_pairs=True the (T, 2) array of selected column indices is returned
-    as well, -1 marking inactive samples.
+    Mixtures holding NaN or inf are refused, naming the first such row, and
+    so is a sample whose solve overflows the float range.  Samples with
+    max(|x1|, |x2|) <= activity_eps are left all-zero.  With return_pairs=True
+    the (T, 2) array of selected column indices is returned as well, -1
+    marking inactive samples.
     """
     x = checked_mixtures(mixtures, activity_eps, "separation")
     if est.n_sources < 2:
@@ -41,11 +42,18 @@ def separate(
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :2]
     i, j = nearest.T
     a_i, a_j = est.ratios[i], est.ratios[j]
-    denom = a_j - a_i  # |denom| >= 1e-12: EstimatedMatrix keeps its ratios that far apart
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        denom = a_j - a_i  # |denom| >= 1e-12: EstimatedMatrix keeps its ratios that far apart
+        s_i = (a_j * x1a - x2a) / denom
+        s_j = (x2a - a_i * x1a) / denom
+    # a gap past the largest float divides to a wrong zero, so denom is checked too
+    finite = np.isfinite(s_i) & np.isfinite(s_j) & np.isfinite(denom)
+    if not finite.all():
+        raise ValueError(f"separated row {rows[finite.argmin()]} holds NaN or inf")
     out = np.zeros((x.shape[0], est.n_sources))
     pairs = np.full((x.shape[0], 2), -1, dtype=np.int64)
-    out[rows, i] = (a_j * x1a - x2a) / denom
-    out[rows, j] = (x2a - a_i * x1a) / denom
+    out[rows, i] = s_i
+    out[rows, j] = s_j
     pairs[rows] = nearest
 
     if return_pairs:

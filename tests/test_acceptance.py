@@ -7,12 +7,16 @@ Each test prints one PASS/FAIL summary line; run
 to see every line even when the whole suite is green.
 """
 
+import itertools
 import time
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubss import (
+    ConfigError,
     EstimatedMatrix,
     ExperimentConfig,
     OverlapMode,
@@ -25,7 +29,6 @@ from ubss import (
     run_experiment,
     separate,
 )
-from ubss.config import random_mixing
 from ubss.signals import pulse_shape
 from ubss import pipeline
 
@@ -47,6 +50,27 @@ def _by_true(report) -> dict:
 
 def _quiet(cfg) -> "pipeline.ExperimentResult":
     return run_experiment(cfg, write_files=False, verbose=False)
+
+
+def random_mixing(n_sources: int, seed: int) -> np.ndarray:
+    """Reproducible random 2 x n_sources mixing matrix with separated column ratios.
+
+    Entries are uniform in [0.1, 1.0); columns are redrawn until all pairwise
+    first-row-normalized ratios differ by at least 0.05, keeping the ratio
+    histogram modes distinguishable; such a draw is a valid mixing matrix.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng([seed, 0xA])
+    a = rng.uniform(0.1, 1.0, size=(2, n_sources))
+    for _ in range(1000):
+        ratios = a[1] / a[0]
+        close = next((j for i, j in itertools.combinations(range(n_sources), 2)
+                      if abs(ratios[i] - ratios[j]) < 0.05), None)
+        if close is None:
+            return a
+        a[:, close] = rng.uniform(0.1, 1.0, size=2)
+    raise ConfigError("could not draw a mixing matrix with separated column ratios")
 
 
 def test_01_exact_ratio_recovery_with_free_overlaps():
@@ -299,3 +323,46 @@ def test_09_repeated_runs_are_byte_identical(tmp_path):
     ok = not differing
     detail = f", differing: {', '.join(differing)}" if differing else ""
     _verdict(ok, f"9: rerun artifacts byte-identical ({len(names)} files{detail})")
+
+
+# random_mixing draws the matrices of check 5; these two tests keep its draws
+# as they were when it was the config's "matrix = random"
+
+
+def test_random_mixing_reproducible_and_separated():
+    a = random_mixing(4, 123)
+    b = random_mixing(4, 123)
+    assert np.array_equal(a, b)
+    assert a.shape == (2, 4)
+    assert np.all((a >= 0.1) & (a < 1.0))
+    ratios = np.sort(a[1] / a[0])
+    assert np.min(np.diff(ratios)) >= 0.05
+    assert not np.array_equal(a, random_mixing(4, 124))
+
+
+def _double_loop_random_mixing(n_sources, seed):
+    """random_mixing as it stood with a flag-and-break double loop: the oracle of its bits."""
+    rng = np.random.default_rng([seed, 0xA])
+    a = rng.uniform(0.1, 1.0, size=(2, n_sources))
+    for _ in range(1000):
+        ratios = a[1] / a[0]
+        bad = None
+        for i in range(n_sources):
+            for j in range(i + 1, n_sources):
+                if abs(ratios[i] - ratios[j]) < 0.05:
+                    bad = j
+                    break
+            if bad is not None:
+                break
+        if bad is None:
+            return a
+        a[:, bad] = rng.uniform(0.1, 1.0, size=2)
+    raise AssertionError("no draw")
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_sources=st.integers(1, 8), seed=st.integers(0, 2**32))
+def test_random_mixing_matches_the_double_loop(n_sources, seed):
+    assert random_mixing(n_sources, seed).tobytes() == (
+        _double_loop_random_mixing(n_sources, seed).tobytes()
+    )

@@ -6,6 +6,7 @@ import pytest
 
 from ubss import cli, pipeline
 from ubss.cli import build_parser, main
+from ubss.config import default_activity_eps
 
 ROOT = Path(__file__).resolve().parent.parent
 # the environment variable that used to override the config seed
@@ -156,18 +157,26 @@ def test_run_names_the_column_count_when_estimation_finds_one(tmp_path, capsys, 
 
 
 def test_flag_validation_errors(tmp_path, capsys):
+    # the estimation settings have no flags: they are [estimation] keys of the
+    # config file, and the file's values are checked at load like every other
     cfg = _write_cfg(tmp_path)
-    assert main(["run", cfg, "--quantum", "-1"]) == 1
-    assert "quantum must be positive" in capsys.readouterr().err
-    for flag in ("--quantum", "--activity-eps"):
-        for value in ("inf", "nan"):
-            assert main(["run", cfg, flag, value]) == 1
-            name = flag.removeprefix("--").replace("-", "_")
-            assert f"{name} must be positive and finite, got {value}" in capsys.readouterr().err
-    assert main(["run", cfg, "--peak-fraction", "2"]) == 1
-    assert "peak_fraction must lie in (0, 1)" in capsys.readouterr().err
-    assert main(["run", cfg, "--activity-eps", "0"]) == 1
-    assert "activity_eps must be positive" in capsys.readouterr().err
+    for command in COMMANDS:
+        for flag in ("--quantum", "--peak-fraction", "--activity-eps"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, cfg, flag, "1e-3"])
+            assert exit_info.value.code == 2, (command, flag)
+            assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
+    # --seed reseeds the sources, so only the commands that draw them take it
+    for command in ("mix", "estimate", "separate", "score"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, cfg, "--seed", "3"])
+        assert exit_info.value.code == 2, command
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", cfg, "--seed", "many"])
+    assert exit_info.value.code == 2
+    assert "argument --seed: invalid int value: 'many'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def test_missing_config_reports_error(tmp_path, capsys):
@@ -217,7 +226,10 @@ MATRIX = "0.4 0.6 0.3 ; 0.8 0.1 0.5"
         # at_most_two with 3 sources on 3 chips per frame
         ("frame_len = 40", "frame_len = 30",
          "[signal]: at_most_two needs at least 4 chips per frame, got 3"),
-        (MATRIX, "random\nseed = -5", "[mixing] seed must be a non-negative integer, got -5"),
+        (MATRIX, MATRIX + "\nseed = 5", "config {cfg} has unknown entries: [mixing] seed"),
+        (MATRIX, "random",
+         "[mixing] matrix: matrix row 1: could not convert string to float: 'random'"),
+        (f"[mixing]\nmatrix = {MATRIX}\n\n", "", "config {cfg} is missing the [mixing] section"),
         ("[run]", "[estimation]\nquantum = inf\n\n[run]",
          "quantum must be positive and finite, got inf"),
         ("[run]", "[estimation]\nactivity_eps = inf\n\n[run]",
@@ -230,15 +242,18 @@ MATRIX = "0.4 0.6 0.3 ; 0.8 0.1 0.5"
          "[signal]: degenerate pulse: order 1 at width 1 is identically zero"),
     ],
     ids=["zero-first-row", "three-rows", "column-count", "at-most-two-chips", "mixing-seed",
-         "infinite-quantum", "infinite-activity-eps", "overlap-mode", "degenerate-pulse"],
+         "random-matrix", "no-mixing-section", "infinite-quantum", "infinite-activity-eps",
+         "overlap-mode", "degenerate-pulse"],
 )
 def test_every_command_refuses_the_config_at_load(tmp_path, capsys, line, replacement, message):
-    cfg = _write_cfg(tmp_path, BASE_CFG.replace(line, replacement))
+    text = BASE_CFG.replace(line, replacement)
+    assert text != BASE_CFG
+    cfg = _write_cfg(tmp_path, text)
     for command in COMMANDS:
         assert main([command, cfg]) == 1, command
         err = capsys.readouterr().err
         assert err.startswith(f"ubss {command}: ")
-        assert err.removeprefix(f"ubss {command}: ") == message + "\n", command
+        assert err.removeprefix(f"ubss {command}: ") == message.format(cfg=cfg) + "\n", command
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
@@ -281,13 +296,16 @@ def test_out_dir_flag_redirects_everything(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_quantum_flag_changes_estimation(tmp_path, capsys):
+def test_quantum_key_changes_estimation(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["generate", cfg]) == 0
     assert main(["mix", cfg]) == 0
-    capsys.readouterr()
+    assert main(["estimate", cfg]) == 0
+    assert "sources estimated: 3" in capsys.readouterr().out
     # a huge quantum folds every ratio into one bin
-    assert main(["estimate", cfg, "--quantum", "100.0"]) == 0
+    text = BASE_CFG.replace("[run]", "[estimation]\nquantum = 100.0\n\n[run]")
+    coarse = _write_cfg(tmp_path, text, name="coarse.cfg")
+    assert main(["estimate", coarse]) == 0
     assert "sources estimated: 1" in capsys.readouterr().out
 
 
@@ -310,13 +328,14 @@ def test_run_refuses_a_ratio_too_large_to_quantize(tmp_path, capsys):
         assert "is too large for quantum 0.0001" in err
 
 
-# the flags of each subcommand, as the parser has always offered them
+# the flags of each subcommand: --out-dir everywhere, --seed where sources are
+# drawn, and the CSVs the command reads; the estimation settings are file keys
 FLAGS = {
-    "run": {"--seed", "--quantum", "--peak-fraction", "--activity-eps", "--out-dir"},
+    "run": {"--seed", "--out-dir"},
     "generate": {"--seed", "--out-dir"},
-    "mix": {"--seed", "--sources", "--out-dir"},
-    "estimate": {"--quantum", "--peak-fraction", "--activity-eps", "--mixtures", "--out-dir"},
-    "separate": {"--activity-eps", "--mixtures", "--matrix", "--out-dir"},
+    "mix": {"--sources", "--out-dir"},
+    "estimate": {"--mixtures", "--out-dir"},
+    "separate": {"--mixtures", "--matrix", "--out-dir"},
     "score": {"--sources", "--separated", "--out-dir"},
 }
 
@@ -325,6 +344,7 @@ def test_each_subcommand_takes_exactly_its_flags(capsys):
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(subparsers.choices) == set(FLAGS)
+    assert sum(len(flags) for flags in FLAGS.values()) == 14
     for command, sub in subparsers.choices.items():
         flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
         assert flags == FLAGS[command], command
@@ -335,3 +355,23 @@ def test_each_subcommand_takes_exactly_its_flags(capsys):
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: ubss {command} ")
         assert f"    ubss {command} CONFIG " in cli.__doc__, command
+
+
+def test_separate_refuses_a_solve_that_overflows(tmp_path, capsys):
+    # two ratios whose gap is past the largest float: the solve used to divide
+    # every sample by inf and write an all-zero separated.csv
+    cfg = str(ROOT / "configs" / "experiment1.cfg")
+    out = tmp_path / "out"
+    for command in ("generate", "mix"):
+        assert main([command, cfg, "--out-dir", str(out)]) == 0
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("ratio\n1e308\n-1e308\n")
+    capsys.readouterr()
+    assert main(["separate", cfg, "--matrix", str(matrix), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # every active sample divides by the gap, so the first active row is named
+    x = np.abs(np.loadtxt(out / pipeline.MIXTURES_CSV, delimiter=",", skiprows=1))
+    row = int(np.flatnonzero(x.max(axis=1) > default_activity_eps(x[:, 0]))[0])
+    assert captured.err == f"ubss separate: separated row {row} holds NaN or inf\n"
+    assert not (out / pipeline.SEPARATED_CSV).exists()

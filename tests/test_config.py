@@ -16,7 +16,7 @@ from ubss import (
     generate_sources,
     load_config,
 )
-from ubss.config import default_activity_eps, parse_matrix, random_mixing
+from ubss.config import default_activity_eps, parse_matrix
 from ubss.pipeline import build_sources
 
 FULL_CFG = """\
@@ -50,6 +50,9 @@ frame_len = 40
 total_len = 120
 n_sources = 3
 seed = 7
+
+[mixing]
+matrix = 0.4 0.6 0.3 ; 0.8 0.1 0.5
 
 [run]
 output_dir = out/minimal
@@ -85,9 +88,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.th_uwb.occupancy == 1.0
     assert [p.order for p in cfg.th_uwb.pulses] == [0, 1, 2]
     assert [p.amplitude for p in cfg.th_uwb.pulses] == [1.0, 1.0, 1.0]
-    # without a [mixing] section the matrix is drawn from the signal seed
-    assert cfg.mixing.shape == (2, 3)
-    assert np.array_equal(cfg.mixing, random_mixing(3, 7))
+    assert np.array_equal(cfg.mixing, [[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
     assert cfg.quantum == 1e-4
     assert cfg.peak_fraction == 0.1
     assert cfg.activity_eps is None
@@ -95,24 +96,19 @@ def test_load_config_defaults(tmp_path):
 
 
 def test_load_config_random_matrix(tmp_path):
-    # the [mixing] seed drives the draw; without it, the signal seed after any override
-    random_cfg = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "random")
-    path = _write(tmp_path, random_cfg, "random.cfg")
-    assert np.array_equal(load_config(path).mixing, random_mixing(3, 11))
-    assert np.array_equal(load_config(path, seed_override=42).mixing, random_mixing(3, 42))
-    seeded = _write(tmp_path, random_cfg.replace("matrix = random", "matrix = random\nseed = 17"))
-    a = load_config(seeded).mixing
-    # pinned bits: a changed draw would change every run of a random-matrix config
-    assert a.tolist() == [
-        [0.4723707489464136, 0.9621152410228727, 0.3109682208504019],
-        [0.21451959622331696, 0.9311249621473774, 0.42149292582642595],
-    ]
-    assert np.array_equal(a, random_mixing(3, 17))
-    assert np.array_equal(load_config(seeded, seed_override=42).mixing, a)
-    assert not np.array_equal(a, random_mixing(3, 11))
-    bad = random_cfg.replace("matrix = random", "matrix = random\nseed = many")
-    with pytest.raises(ConfigError, match=r"\[mixing\] seed = 'many'"):
-        load_config(_write(tmp_path, bad))
+    # the matrix is given, never drawn: "random" is not a matrix, and a file
+    # that leaves the matrix out is refused (test_load_config_missing_sections
+    # covers a file without [mixing])
+    path = _write(tmp_path, FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "random"))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == (
+        "[mixing] matrix: matrix row 1: could not convert string to float: 'random'"
+    )
+    no_matrix = FULL_CFG.replace("matrix = 0.4 0.6 0.3 ; 0.8 0.1 0.5\n", "")
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, no_matrix))
+    assert str(info.value) == "[mixing] is missing required key 'matrix'"
 
 
 def test_load_config_refuses_unknown_entries(tmp_path):
@@ -125,11 +121,14 @@ def test_load_config_refuses_unknown_entries(tmp_path):
     extra = MINIMAL_CFG + "verbose = yes\n\n[plots]\nwidth = 3\n"
     with pytest.raises(ConfigError, match=r"unknown entries: \[plots\], \[run\] verbose$"):
         load_config(_write(tmp_path, extra))
-    # FULL_CFG plus a [mixing] seed holds every key the loader reads; the seed
-    # is known next to an explicit matrix too, and leaves that matrix alone
-    every_key = FULL_CFG.replace("0.8 0.1 0.5\n", "0.8 0.1 0.5\nseed = 3\n")
-    cfg = load_config(_write(tmp_path, every_key))
+    # FULL_CFG holds every key the loader reads; [mixing] has no seed, as the
+    # matrix is never drawn
+    cfg = load_config(_write(tmp_path, FULL_CFG))
     assert np.array_equal(cfg.mixing, [[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
+    seeded = _write(tmp_path, FULL_CFG.replace("0.8 0.1 0.5\n", "0.8 0.1 0.5\nseed = 3\n"))
+    with pytest.raises(ConfigError) as info:
+        load_config(seeded)
+    assert str(info.value) == f"config {seeded} has unknown entries: [mixing] seed"
 
 
 def test_load_config_seed_override(tmp_path):
@@ -154,6 +153,11 @@ def test_load_config_missing_sections(tmp_path):
         load_config(_write(tmp_path, "[run]\noutput_dir = out\n"))
     with pytest.raises(ConfigError, match=r"missing the \[run\] section"):
         load_config(_write(tmp_path, MINIMAL_CFG.split("[run]")[0]))
+    # no matrix is drawn for a file without [mixing]
+    path = _write(tmp_path, re.sub(r"\[mixing\]\n.*\n", "", MINIMAL_CFG))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"config {path} is missing the [mixing] section"
 
 
 def test_load_config_missing_and_bad_keys(tmp_path):
@@ -273,10 +277,13 @@ def test_non_finite_settings_are_refused(tmp_path, key, value):
 
 
 def test_negative_mixing_seed_is_refused_at_load(tmp_path):
-    text = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "random\nseed = -5")
-    with pytest.raises(ConfigError) as info:
-        load_config(_write(tmp_path, text))
-    assert str(info.value) == "[mixing] seed must be a non-negative integer, got -5"
+    # [mixing] takes no seed at all, so any value is refused as an unknown key
+    for value in ("-5", "5"):
+        text = FULL_CFG.replace("0.8 0.1 0.5\n", f"0.8 0.1 0.5\nseed = {value}\n")
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"config {path} has unknown entries: [mixing] seed"
 
 
 def test_config_error_is_value_error():
@@ -314,6 +321,8 @@ def test_hop_windows_cap_reachable_chips(tmp_path):
         text = MINIMAL_CFG.replace("frame_len = 40", f"frame_len = {10 * n_chips}")
         text = text.replace("total_len = 120", f"total_len = {2000 * n_chips}")
         text = text.replace("n_sources = 3", f"n_sources = {n_sources}")
+        ratios = " ".join(str(k + 1) for k in range(n_sources))
+        text = text.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", f"{'1 ' * n_sources}; {ratios}")
         sources = build_sources(load_config(_write(tmp_path, text)))
         reach = {}
         for k in range(n_sources):
@@ -321,45 +330,6 @@ def test_hop_windows_cap_reachable_chips(tmp_path):
             for c in set((starts % (10 * n_chips)) // 10):
                 reach.setdefault(c, []).append(k)
         assert max(len(v) for v in reach.values()) == 2
-
-
-def test_random_mixing_reproducible_and_separated():
-    a = random_mixing(4, 123)
-    b = random_mixing(4, 123)
-    assert np.array_equal(a, b)
-    assert a.shape == (2, 4)
-    assert np.all((a >= 0.1) & (a < 1.0))
-    ratios = np.sort(a[1] / a[0])
-    assert np.min(np.diff(ratios)) >= 0.05
-    assert not np.array_equal(a, random_mixing(4, 124))
-
-
-def _double_loop_random_mixing(n_sources, seed):
-    """random_mixing as it stood with a flag-and-break double loop: the oracle of its bits."""
-    rng = np.random.default_rng([seed, 0xA])
-    a = rng.uniform(0.1, 1.0, size=(2, n_sources))
-    for _ in range(1000):
-        ratios = a[1] / a[0]
-        bad = None
-        for i in range(n_sources):
-            for j in range(i + 1, n_sources):
-                if abs(ratios[i] - ratios[j]) < 0.05:
-                    bad = j
-                    break
-            if bad is not None:
-                break
-        if bad is None:
-            return a
-        a[:, bad] = rng.uniform(0.1, 1.0, size=2)
-    raise AssertionError("no draw")
-
-
-@settings(max_examples=200, deadline=None)
-@given(n_sources=st.integers(1, 8), seed=st.integers(0, 2**32))
-def test_random_mixing_matches_the_double_loop(n_sources, seed):
-    assert random_mixing(n_sources, seed).tobytes() == (
-        _double_loop_random_mixing(n_sources, seed).tobytes()
-    )
 
 
 def test_default_activity_eps():

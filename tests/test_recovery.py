@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -261,3 +263,47 @@ def test_separate_solves_every_pair_an_estimated_matrix_can_hold(ratios, x, x2_o
     assert out.shape == (mixtures.shape[0], len(ratios))
     assert np.isfinite(out).all()
     assert ((pairs >= 0) == (np.abs(mixtures).max(axis=1) > eps)[:, None]).all()
+
+
+def test_separate_refuses_a_ratio_gap_past_the_largest_float():
+    # each solve is finite over an inf gap, (1e305 - 1e-3) / inf == 0: a wrong
+    # zero that only the gap itself shows
+    est = EstimatedMatrix(ratios=(1e308, -1e308))
+    x = np.array([[0.0, 0.0], [1e-3, 1e-3], [2.0, -1.0]])
+    with pytest.raises(ValueError, match=r"^separated row 1 holds NaN or inf$"):
+        separate(x, est, 1e-6)
+
+
+# Ratios and mixtures up to the largest floats: the solve either stays finite
+# or is refused, naming the row; it is never zeroed or left NaN in silence.
+
+_HUGE = (1.7e308, -1.7e308, 1e308, -1e308, 1e300, -1e300, 1e154, 0.0, 1.0, -1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ratios=st.lists(st.one_of(st.sampled_from(_HUGE), st.floats(-1.7e308, 1.7e308)),
+                    min_size=2, max_size=5),
+    x=arrays(float, st.tuples(st.integers(1, 8), st.just(2)),
+             elements=st.one_of(st.sampled_from(_HUGE + (3.0, 10.0, 1e-3)),
+                                st.floats(-1.7e308, 1.7e308))),
+)
+@example(ratios=[1e308, -1e308], x=np.array([[3.0, 1.0]]))
+@example(ratios=[1e308, 0.0], x=np.array([[10.0, 1.0]]))
+def test_separate_returns_finite_values_or_refuses(ratios, x):
+    try:
+        est = EstimatedMatrix(ratios=tuple(ratios))
+    except ValueError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = separate(x, est, 1e-300)
+        except ValueError as exc:
+            match = re.fullmatch(r"separated row (\d+) holds NaN or inf", str(exc))
+            assert match, str(exc)
+            assert np.abs(x[int(match[1])]).max() > 1e-300  # an active row
+            # nothing overflows up to 1e140: |a_j x1 - x2| / |a_j - a_i| <= 2e280 / 1e-12
+            assert max(np.abs(ratios).max(), np.abs(x).max()) > 1e140
+            return
+    assert np.isfinite(out).all()
