@@ -72,7 +72,8 @@ def read_signals(path) -> np.ndarray:
     if bad.size:
         line = list(code)[bad[0]]
         raise ValueError(f"{path}: row {rows.index(line) + 2} has a non-finite field")
-    return table[np.fromiter(map(code.__getitem__, rows), np.intp, len(rows))]
+    order = np.fromiter(map(code.__getitem__, rows), np.intp, len(rows))
+    return np.take(table.T, order, axis=1).T  # column-major, like the signals the core builds
 
 
 def write_estimated_matrix(path, est: EstimatedMatrix) -> None:

@@ -24,28 +24,31 @@ class SeparationReport:
 
 
 def _centre(v: np.ndarray, column: np.ndarray, name: str, k: int) -> float:
-    """Copy column k of `name` into v, centre it in place, return its deviation.
+    """Write column k of `name`, centred, into v; return its deviation.
 
-    Refuses NaN, inf and overflow.  A constant column returns 0.0 uncentred, as
-    its mean need not equal the constant and the rounding residue must not score.
+    Refuses NaN, inf and overflow.  A constant column scores 0.0, not its mean's rounding
+    residue (below 1e-14 of it), so a column within 1e-13 of flat is scanned for its range.
     """
-    v[:] = column
-    lo, hi = v.min(), v.max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = column.mean()
+        np.subtract(column, mean, out=v)
+        dev = float(np.sqrt(float(v @ v) / (v.size - 1)))
+    if np.isfinite(dev) and dev > 1e-13 * abs(mean):
+        return dev
+    lo, hi = column.min(), column.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{name} column {k} holds NaN or inf")
     if lo == hi:
         return 0.0
-    with np.errstate(over="ignore"):
-        v -= v.mean()
-        if np.isfinite(dev := float(np.sqrt(float(v @ v) / (v.size - 1)))):
-            return dev
+    if np.isfinite(dev):
+        return dev
     raise ValueError(f"{name} column {k} is too large to score: its deviation overflows")
 
 
 def _correlation_table(truth: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """C = cov(e, t) / (std(e) std(t)) with 1/(T-1) normalisation, 0 if either is flat.
 
-    Each column is copied and centred once (the truth into one (n_true, T)
+    Each column is centred once, into a copy (the truth into one (n_true, T)
     array, each estimate into one reused buffer), then each entry takes one
     dot product: the float operations of a per-pair centre-and-dot, same bits.
     """
@@ -97,19 +100,35 @@ def align_and_score(truth: np.ndarray, estimates: np.ndarray) -> SeparationRepor
     )
 
 
+def _active_counts(s: np.ndarray) -> np.ndarray:
+    """Per sample, how many columns of the 2-D, finite sources are nonzero, column by column."""
+    if s.ndim != 2:
+        raise ValueError(f"sources must be 2-D (samples x sources), got shape {s.shape}")
+    counts = np.zeros(s.shape[0], dtype=np.min_scalar_type(s.shape[1]))  # holds N exactly
+    for k, column in enumerate(s.T):
+        with np.errstate(over="ignore", invalid="ignore"):  # exact test if the square is not finite
+            if not (np.isfinite(column @ column) or np.isfinite(column).all()):
+                raise ValueError(f"sources column {k} holds NaN or inf")
+        counts += (column != 0.0).view(np.uint8)
+    return counts
+
+
 def count_uncovered(
     sources: np.ndarray, pairs: np.ndarray, permutation: list[int | None]
 ) -> int:
     """Samples whose true active set is not inside the selected base pair.
 
-    pairs holds estimated-column indices; permutation (as produced by
-    align_and_score) translates them to true-source indices.  Counts only
-    samples where a pair was selected; samples with three or more
-    simultaneously active sources can never be covered.  A pair index
-    outside [-1, len(permutation)) is refused.
+    pairs, a (T, 2) integer array, holds estimated-column indices; permutation
+    (as produced by align_and_score) translates them to true-source indices.
+    Counts only samples where a pair was selected; samples with three or more
+    simultaneously active sources can never be covered.  Sources must be 2-D and
+    finite, and a pair index outside [-1, len(permutation)) is refused.
     """
     s = np.asarray(sources, dtype=float)
     p = np.asarray(pairs)
+    counts = _active_counts(s)
+    if p.ndim != 2 or p.shape[1] != 2 or not np.issubdtype(p.dtype, np.integer):
+        raise ValueError(f"pairs must be a (T, 2) integer array, got shape {p.shape} of {p.dtype}")
     if s.shape[0] != p.shape[0]:
         raise ValueError(f"sample count mismatch: {s.shape[0]} vs {p.shape[0]}")
     n = len(permutation)
@@ -118,14 +137,12 @@ def count_uncovered(
     # the trailing -1 makes lut[-1] == -1: an unselected slot maps to no source
     lut = np.array([-1 if t is None else int(t) for t in permutation] + [-1], dtype=np.int64)
     rows = np.flatnonzero(p[:, 0] >= 0)
-    leftover = s[rows] != 0.0
-    for m in lut[p[rows]].T:
-        ok = np.flatnonzero(m >= 0)
-        leftover[ok, m[ok]] = False
-    return int(np.count_nonzero(leftover.any(axis=1)))
+    m = np.take(lut, np.take(p, rows, axis=0))  # np.take: several times faster than p[rows]
+    covered = (m >= 0) & (s[rows[:, None], np.maximum(m, 0)] != 0.0)
+    covered[:, 1] &= m[:, 1] != m[:, 0]  # a source both slots map to covers once
+    return int(np.count_nonzero(counts[rows] > np.add(*covered.T, dtype=np.uint8)))
 
 
 def max_simultaneous_sources(sources: np.ndarray) -> int:
-    """Largest number of sources active at one sample."""
-    s = np.asarray(sources, dtype=float)
-    return int(np.max(np.count_nonzero(s != 0.0, axis=1), initial=0))
+    """Largest number of sources active at one sample; refuses NaN, inf and non-2-D input."""
+    return int(_active_counts(np.asarray(sources, dtype=float)).max(initial=0))

@@ -23,18 +23,18 @@ def separate(
 ):
     """Recover (T, N) source estimates from (T, 2) mixtures.
 
-    Mixtures holding NaN or inf are refused, naming the first such row, and
-    so is a sample whose solve overflows the float range.  Samples with
-    max(|x1|, |x2|) <= activity_eps are left all-zero.  With return_pairs=True
-    the (T, 2) array of selected column indices is returned as well, -1
-    marking inactive samples.
+    The estimates are column-major, which changes no value.  Mixtures holding
+    NaN or inf are refused, naming the first such row, and so is a sample whose
+    solve overflows the float range.  Samples with max(|x1|, |x2|) <=
+    activity_eps are left all-zero.  With return_pairs=True the (T, 2) array of
+    selected column indices is returned as well, -1 marking inactive samples.
     """
     x = checked_mixtures(mixtures, activity_eps, "separation")
     if est.n_sources < 2:
         raise ValueError(f"separation needs at least 2 estimated columns, got {est.n_sources}")
 
     x1, x2 = x[:, 0], x[:, 1]
-    rows = np.flatnonzero(np.maximum(np.abs(x1), np.abs(x2)) > activity_eps)
+    rows = np.flatnonzero((np.abs(x1) > activity_eps) | (np.abs(x2) > activity_eps))
     x1a, x2a = x1[rows], x2[rows]
     with np.errstate(over="ignore"):  # x2/x1 may overflow to inf: arctan(inf) is pi/2
         theta = np.arctan(np.divide(x2a, x1a, out=np.full_like(x2a, np.inf), where=x1a != 0.0))
@@ -50,12 +50,13 @@ def separate(
     finite = np.isfinite(s_i) & np.isfinite(s_j) & np.isfinite(denom)
     if not finite.all():
         raise ValueError(f"separated row {rows[finite.argmin()]} holds NaN or inf")
-    out = np.zeros((x.shape[0], est.n_sources))
-    pairs = np.full((x.shape[0], 2), -1, dtype=np.int64)
-    out[rows, i] = s_i
-    out[rows, j] = s_j
-    pairs[rows] = nearest
+    n = x.shape[0]
+    out = np.zeros((est.n_sources, n))  # row k is column k of the column-major result
+    out.ravel()[i * n + rows] = s_i  # a flat index scatters faster than out[i, rows]
+    out.ravel()[j * n + rows] = s_j
+    pairs = np.full((n, 2), -1, dtype=np.int64)
+    pairs[rows, 0], pairs[rows, 1] = i, j
 
     if return_pairs:
-        return out, pairs
-    return out
+        return out.T, pairs
+    return out.T

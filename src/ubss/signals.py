@@ -146,7 +146,7 @@ def _hop_windows(cfg: ThUwbConfig) -> list[tuple[int, int]]:
 
 
 def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
-    """Build the (total_len, n_sources) source matrix of the layout.
+    """Build the (total_len, n_sources) source matrix of the layout, column-major.
 
     Per source k a dedicated generator seeded with [cfg.seed, k] draws, for
     every frame in fixed order: an occupancy gate, a chip index inside the
@@ -155,22 +155,23 @@ def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
     regardless of occupancy.  A frame emits when its gate is below occupancy
     and the chosen chip lies entirely inside total_len; the trailing partial
     frame therefore only emits from chips it fully contains.  Source k's
-    pulse is cfg.pulses[k], sampled at chip_len.
+    pulse is cfg.pulses[k], sampled at chip_len.  Being column-major changes no value.
     """
-    out = np.zeros((cfg.total_len, cfg.n_sources))
+    out = np.zeros((cfg.total_len, cfg.n_sources), order="F")
     for k, (start, count) in enumerate(_hop_windows(cfg)):
         rng = np.random.default_rng([cfg.seed, k])
         shape = pulse_shape(cfg.pulses[k], cfg.chip_len)
+        signed = (shape, -shape)  # indexed by the sign draw: 0 is +1, 1 is -1
         for f in range(cfg.n_frames):
             gate = rng.random()
             chip = start + int(rng.integers(count))
-            sign = 1.0 - 2.0 * float(rng.integers(2))
+            negative = int(rng.integers(2))
             if gate >= cfg.occupancy:
                 continue
             chip_start = f * cfg.frame_len + chip * cfg.chip_len
             if chip_start + cfg.chip_len > cfg.total_len:
                 continue
-            out[chip_start : chip_start + cfg.chip_len, k] = sign * shape
+            out[chip_start : chip_start + cfg.chip_len, k] = signed[negative]
     return out
 
 

@@ -82,6 +82,7 @@ def test_signals_round_trip_is_exact(tmp_path):
     back = read_signals(path)
     assert back.shape == x.shape
     assert back.tobytes() == x.tobytes()
+    assert back.flags.f_contiguous  # column-major, like the signals the core builds
 
 
 def test_signals_header_and_layout(tmp_path):
@@ -186,6 +187,15 @@ def test_signals_match_the_row_by_row_oracles(tmp_path_factory, x):
     write_signals(path, x)
     assert path.read_text() == write_signals_oracle(x)
     assert read_signals(path).tobytes() == read_signals_oracle(path).tobytes() == x.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=signal_arrays)
+def test_write_signals_gives_the_same_bytes_for_row_and_column_major_signals(tmp_path_factory, x):
+    paths = tmp_path_factory.mktemp("csv") / "c.csv", tmp_path_factory.mktemp("csv") / "f.csv"
+    write_signals(paths[0], np.ascontiguousarray(x))
+    write_signals(paths[1], np.asfortranarray(x))
+    assert paths[1].read_bytes() == paths[0].read_bytes()
 
 
 repeated_rows = st.integers(1, 4).flatmap(

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ubss import align_and_score
-from ubss.evaluation import _correlation_table, count_uncovered, max_simultaneous_sources
+from ubss.evaluation import (
+    _centre,
+    _correlation_table,
+    count_uncovered,
+    max_simultaneous_sources,
+)
 
 
 def correlation(x: np.ndarray, y: np.ndarray) -> float:
@@ -284,27 +289,41 @@ def scoring_cases(draw):
             return rng.normal(size=n) * (rng.random(n) < draw(st.floats(0.0, 0.3)))
         if kind == "constant":
             return np.full(n, draw(constants))
+        if kind == "nudged":  # an ulp off flat: not constant, so scored like any column
+            flat = np.full(n, draw(constants.filter(bool)))
+            flat[rng.integers(n, size=draw(st.integers(1, 3)))] = np.nextafter(flat[0], np.inf)
+            return flat
         source = truth[:, draw(st.integers(0, truth.shape[1] - 1))]
         gain = draw(st.sampled_from([1.0, -1.0, 0.5, -2.0, 1.7, 3e3]))
         copy = gain * source + draw(st.sampled_from([0.0, 0.1, -3.0]))
         return copy if kind == "copy" else copy + 0.3 * rng.normal(size=n)
 
-    kinds = st.sampled_from(["normal", "sparse", "constant"])
+    kinds = st.sampled_from(["normal", "sparse", "constant", "nudged"])
     n_true = draw(st.integers(1, 7))
     truth = np.column_stack([column(draw(kinds)) for _ in range(n_true)])
-    est_kinds = st.sampled_from(["normal", "sparse", "constant", "copy", "copy", "noisy"])
+    est_kinds = st.sampled_from(
+        ["normal", "sparse", "constant", "nudged", "copy", "copy", "noisy"])
     est = np.column_stack([column(draw(est_kinds), truth) for _ in range(draw(st.integers(1, 7)))])
-    if draw(st.booleans()):
-        truth, est = np.asfortranarray(truth), np.asfortranarray(est)
     return truth, est
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
 @settings(max_examples=300, deadline=None)
 @given(case=scoring_cases())
-def test_correlation_table_matches_the_per_pair_oracle_bit_for_bit(case):
-    truth, est = case
+def test_correlation_table_matches_the_per_pair_oracle_bit_for_bit(order, case):
+    truth, est = (np.asarray(a, order=order) for a in case)
     expected = _oracle_table(truth, est)
     assert _correlation_table(truth, est).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 5000), c=st.floats(allow_nan=False, allow_infinity=False))
+def test_a_constant_column_of_any_size_and_magnitude_scores_zero(n, c):
+    # its mean's rounding residue stays below 1e-13 of the mean, so the range scan catches it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for column in (np.full(n, c), np.full((n, 3), c)[:, 1]):
+            assert _centre(np.empty(n), column, "truth", 0) == 0.0
 
 
 def test_correlation_table_holds_one_copy_of_the_truth_and_one_column():
@@ -372,3 +391,116 @@ def test_max_simultaneous_sources():
     s[2] = [0.5, -0.5, 0.25]
     assert max_simultaneous_sources(s) == 3
     assert max_simultaneous_sources(np.zeros((4, 2))) == 0
+
+
+# Row-wise references of count_uncovered and max_simultaneous_sources: one
+# (T, N) mask of the active sources, cleared where the selected pair covers it.
+
+
+def _count_uncovered_rowwise(sources, pairs, permutation) -> int:
+    s = np.asarray(sources, dtype=float)
+    p = np.asarray(pairs)
+    if s.shape[0] != p.shape[0]:
+        raise ValueError(f"sample count mismatch: {s.shape[0]} vs {p.shape[0]}")
+    n = len(permutation)
+    if p.size and not -1 <= p.min() <= p.max() < n:
+        raise ValueError(f"pair index {p[(p < -1) | (p >= n)][0]} is outside [-1, {n})")
+    # the trailing -1 makes lut[-1] == -1: an unselected slot maps to no source
+    lut = np.array([-1 if t is None else int(t) for t in permutation] + [-1], dtype=np.int64)
+    rows = np.flatnonzero(p[:, 0] >= 0)
+    leftover = s[rows] != 0.0
+    for m in lut[p[rows]].T:
+        ok = np.flatnonzero(m >= 0)
+        leftover[ok, m[ok]] = False
+    return int(np.count_nonzero(leftover.any(axis=1)))
+
+
+def _max_simultaneous_rowwise(sources) -> int:
+    s = np.asarray(sources, dtype=float)
+    return int(np.max(np.count_nonzero(s != 0.0, axis=1), initial=0))
+
+
+@st.composite
+def coverage_cases(draw):
+    """Sparse (T, N) sources, some rows with three or more active, and pairs of
+    estimate indices (-1 included) with a permutation that may hold None."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_samples, n_true = draw(st.integers(0, 300)), draw(st.integers(1, 8))
+    active = rng.random((n_samples, n_true)) < draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    crowded = rng.random(n_samples) < 0.1  # three or more active where N allows
+    active[crowded, : min(3, n_true)] = True
+    values = rng.choice([1.0, -2.5, 5e-324, -1e300, 0.25], size=active.shape)
+    sources = np.where(active, values, rng.choice([0.0, -0.0], size=active.shape))
+    n_est = draw(st.integers(1, 8))
+    permutation = draw(st.lists(st.one_of(st.none(), st.integers(0, n_true - 1)),
+                                min_size=n_est, max_size=n_est))
+    pairs = rng.integers(-1, n_est, size=(n_samples, 2))
+    pairs[rng.random(n_samples) < 0.3] = -1
+    return sources, pairs, permutation
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coverage_cases())
+def test_column_wise_counts_match_the_row_wise_references(case):
+    sources, pairs, permutation = case
+    want = _count_uncovered_rowwise(sources, pairs, permutation)
+    most = _max_simultaneous_rowwise(sources)
+    for order in ("C", "F"):
+        s, p = np.asarray(sources, order=order), np.asarray(pairs, order=order)
+        assert count_uncovered(s, p, permutation) == want
+        assert max_simultaneous_sources(s) == most
+
+
+def test_counts_stay_exact_past_the_range_of_a_byte():
+    sources = np.zeros((3, 300))
+    sources[1] = 1.0
+    sources[2, :257] = -1.0
+    assert max_simultaneous_sources(sources) == 300
+    pairs = np.array([[-1, -1], [0, 1], [1, 0]])
+    assert count_uncovered(sources, pairs, [0, 1]) == 2
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (5, 2, 2)])
+def test_counts_refuse_sources_that_are_not_2d(shape):
+    sources = np.ones(shape)
+    with pytest.raises(ValueError, match=r"^sources must be 2-D \(samples x sources\)"):
+        max_simultaneous_sources(sources)
+    with pytest.raises(ValueError, match=r"^sources must be 2-D \(samples x sources\)"):
+        count_uncovered(sources, np.zeros((5, 2), dtype=np.int64), [0, 1])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        np.zeros((4, 3), dtype=np.int64),  # a third column was ignored
+        np.zeros((4, 1), dtype=np.int64),
+        np.zeros(4, dtype=np.int64),  # raised IndexError
+        np.zeros((4, 2)),  # float: raised IndexError
+        np.zeros((4, 2), dtype=bool),
+    ],
+)
+def test_count_uncovered_refuses_pairs_that_are_not_two_integer_columns(pairs):
+    with pytest.raises(ValueError, match=r"^pairs must be a \(T, 2\) integer array, got shape"):
+        count_uncovered(np.ones((4, 2)), pairs, [0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_counts_refuse_non_finite_sources(bad):
+    # a NaN once counted as active, and max_simultaneous_sources([[nan, 0.0]]) read 1
+    sources = np.zeros((4, 3))
+    sources[2, 1] = bad
+    pairs = np.array([[-1, -1], [0, 1], [0, 1], [1, 2]])
+    for s in (sources, np.asfortranarray(sources)):
+        with pytest.raises(ValueError, match=r"^sources column 1 holds NaN or inf$"):
+            max_simultaneous_sources(s)
+        with pytest.raises(ValueError, match=r"^sources column 1 holds NaN or inf$"):
+            count_uncovered(s, pairs, [0, 1, 2])
+
+
+def test_counts_take_finite_values_whose_squares_overflow():
+    # the sum of squares overflows, so each column is tested exactly, without a warning
+    sources = np.array([[1.7e308, -1e200], [0.0, 0.0], [-1.7e308, 1e155]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert max_simultaneous_sources(sources) == 2
+        assert count_uncovered(sources, np.array([[0, -1], [0, 1], [1, 0]]), [0, 1]) == 1

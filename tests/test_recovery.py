@@ -102,13 +102,15 @@ def test_solve_pair_rejects_coincident_ratios():
         solve_pair((2.0, 2.0 + 1e-13), BasePair(0, 1), 1.0, 1.0)
 
 
-def test_separate_matches_per_sample_oracle():
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_separate_matches_per_sample_oracle(order):
     rng = np.random.default_rng(21)
     est = EstimatedMatrix(ratios=(2.0, 0.5, -0.8))
     angles = np.arctan(est.ratios)
     x = rng.normal(size=(300, 2))
     x[rng.choice(300, size=30, replace=False), 0] = 0.0
     x[::50] = 0.0
+    x = np.asarray(x, order=order)
     eps = 1e-9
     out, pairs = separate(x, est, eps, return_pairs=True)
     assert out.shape == (300, 3)
@@ -130,6 +132,12 @@ def test_separate_returns_array_only_by_default():
     out = separate(np.array([[1.0, 1.0]]), est, 1e-9)
     assert isinstance(out, np.ndarray)
     assert out.shape == (1, 2)
+
+
+def test_separate_returns_one_contiguous_column_per_estimate():
+    x = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 2.0]])
+    out = separate(x, EstimatedMatrix(ratios=(2.0, 0.5)), 1e-9)
+    assert out.flags.f_contiguous and not out.flags.c_contiguous
 
 
 def test_separate_recovers_scaled_sources_exactly():

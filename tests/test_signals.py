@@ -102,6 +102,13 @@ def test_generate_sources_layout():
             assert len(chips) <= 1
 
 
+def test_generate_sources_returns_one_contiguous_column_per_source():
+    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
+                      pulses=[PulseSpec(order=0), PulseSpec(order=1)], seed=3)
+    src = generate_sources(cfg)
+    assert src.flags.f_contiguous and not src.flags.c_contiguous
+
+
 def test_generate_sources_deterministic_and_per_source():
     fields = dict(chip_len=10, frame_len=40, total_len=400, seed=7,
                   overlap_mode=OverlapMode.ALLOW_THREE)
@@ -251,6 +258,21 @@ def test_mix_shapes_and_values():
         mix(s[:, 0], a)
     with pytest.raises(ValueError, match="mixing matrix must be 2-D"):
         mix(s, a[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3000), st.integers(1, 8)),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+def test_mix_gives_the_same_bytes_for_row_and_column_major_sources(shape, seed, sparse):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e5], size=shape)
+    if sparse:
+        s[rng.random(shape) < 0.8] = 0.0
+    a = rng.normal(size=(2, shape[1]))
+    assert mix(np.asfortranarray(s), a).tobytes() == mix(np.ascontiguousarray(s), a).tobytes()
 
 
 def test_mix_refuses_a_product_that_overflows():

@@ -119,6 +119,12 @@ def waveforms(draw):
     return np.where(np.repeat(active, run, axis=0)[:n], values, 0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(x=waveforms())
+def test_waveform_svg_gives_the_same_bytes_for_row_and_column_major_signals(x):
+    assert waveform_svg(np.asfortranarray(x)) == waveform_svg(np.ascontiguousarray(x))
+
+
 @settings(max_examples=150, deadline=None)
 @given(x=waveforms())
 def test_waveform_svg_draws_the_m4_points_of_the_scalar_oracle(x):
