@@ -145,33 +145,73 @@ def _hop_windows(cfg: ThUwbConfig) -> list[tuple[int, int]]:
     return [(0, 2)] + [(3 + k, 1) for k in range(n - 2)] + [(1, 2)]
 
 
+_LOW32 = 0xFFFFFFFF
+
+
+def _frame_draws(rng: np.random.Generator, n_frames: int, count: int):
+    """The (gate, chip, negative) arrays that, frame after frame,
+    rng.random(), rng.integers(count) and rng.integers(2) would return.
+
+    The draws are read in one bulk random_raw call and decoded the way
+    default_rng's PCG64 hands them out.  random() takes a whole 64-bit word,
+    (word >> 11) * 2**-53.  A 32-bit draw takes the low half of a fresh word
+    and buffers the high half for the next one; integers(count) for
+    2 <= count <= 2**32 is Lemire's method on such a draw, and integers(2)
+    is the top bit of the buffered half.  integers(1) draws nothing, so with
+    count == 1 the sign halves pair up across frames.  A chip draw that
+    Lemire would reject, or a count past 32 bits, rewinds the generator and
+    makes the scalar calls instead.
+    """
+    raw = rng.bit_generator.random_raw
+    saved = rng.bit_generator.state
+    if count == 1:
+        words = raw(3 * -(-n_frames // 2)).reshape(-1, 3)  # gate, two signs, gate
+        gates = words[:, [0, 2]].ravel()[:n_frames]
+        signs = np.stack([words[:, 1] << 32, words[:, 1]], axis=1).ravel()[:n_frames]
+        return (gates >> 11) * 2.0**-53, np.zeros(n_frames, dtype=np.intp), signs >> 63
+    if count <= 2**32:
+        words = raw(2 * n_frames).reshape(-1, 2)  # gate, then chip and sign halves
+        scaled = (words[:, 1] & _LOW32) * np.uint64(count)
+        # Lemire rejects a draw whose product's low half is below 2**32 % count
+        if not ((scaled & _LOW32) < 2**32 % count).any():
+            return (words[:, 0] >> 11) * 2.0**-53, scaled >> 32, words[:, 1] >> 63
+    rng.bit_generator.state = saved
+    draws = [(rng.random(), rng.integers(count), rng.integers(2)) for _ in range(n_frames)]
+    return tuple(np.array(column) for column in zip(*draws))
+
+
 def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
     """Build the (total_len, n_sources) source matrix of the layout, column-major.
 
     Per source k a dedicated generator seeded with [cfg.seed, k] draws, for
-    every frame in fixed order: an occupancy gate, a chip index inside the
-    source's hop window, and a pulse sign (+1 or -1).  All three draws happen
-    whether or not the frame emits, so equal seeds give equal signals
-    regardless of occupancy.  A frame emits when its gate is below occupancy
-    and the chosen chip lies entirely inside total_len; the trailing partial
-    frame therefore only emits from chips it fully contains.  Source k's
-    pulse is cfg.pulses[k], sampled at chip_len.  Being column-major changes no value.
+    every frame in fixed order: an occupancy gate (rng.random()), a chip
+    index inside the source's hop window (rng.integers(count)), and a pulse
+    sign, +1 or -1 (rng.integers(2)).  All three draws happen whether or not
+    the frame emits, so equal seeds give equal signals regardless of
+    occupancy.  A frame emits when its gate is below occupancy and the chosen
+    chip lies entirely inside total_len; the trailing partial frame therefore
+    only emits from chips it fully contains.  Source k's pulse is
+    cfg.pulses[k], sampled at chip_len.  Being column-major changes no value.
+
+    The draws of a source are read from its generator in one bulk call and
+    decoded to exactly the values those per-frame calls would return (see
+    _frame_draws), and the source's pulses are then written all at once.
+    The decoding rests on default_rng's PCG64; tests/test_signals.py pins it
+    against the per-frame calls and against the per-frame generator.
     """
     out = np.zeros((cfg.total_len, cfg.n_sources), order="F")
+    n_slots = cfg.total_len // cfg.chip_len  # whole chips only: no pulse spills past total_len
+    first_slots = np.arange(cfg.n_frames) * cfg.n_chips
     for k, (start, count) in enumerate(_hop_windows(cfg)):
         rng = np.random.default_rng([cfg.seed, k])
+        gate, chip, negative = _frame_draws(rng, cfg.n_frames, count)
+        slot = first_slots + start + chip.astype(np.intp)
+        emits = (gate < cfg.occupancy) & (slot < n_slots)
+        negative = negative.astype(bool)
+        slots = out[: n_slots * cfg.chip_len, k].reshape(n_slots, cfg.chip_len)
         shape = pulse_shape(cfg.pulses[k], cfg.chip_len)
-        signed = (shape, -shape)  # indexed by the sign draw: 0 is +1, 1 is -1
-        for f in range(cfg.n_frames):
-            gate = rng.random()
-            chip = start + int(rng.integers(count))
-            negative = int(rng.integers(2))
-            if gate >= cfg.occupancy:
-                continue
-            chip_start = f * cfg.frame_len + chip * cfg.chip_len
-            if chip_start + cfg.chip_len > cfg.total_len:
-                continue
-            out[chip_start : chip_start + cfg.chip_len, k] = signed[negative]
+        slots[slot[emits & ~negative]] = shape
+        slots[slot[emits & negative]] = -shape
     return out
 
 

@@ -11,7 +11,7 @@ from ubss import (
     mix,
 )
 from ubss.evaluation import max_simultaneous_sources
-from ubss.signals import pulse_shape, validate_mixing_matrix
+from ubss.signals import _frame_draws, pulse_shape, validate_mixing_matrix
 
 
 def test_pulse_spec_validation():
@@ -227,6 +227,65 @@ def test_generate_sources_matches_the_explicit_window_oracle(cfg):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if cfg.overlap_mode is OverlapMode.AT_MOST_TWO:
         assert max_simultaneous_sources(got) <= 2
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_generate_sources_matches_the_oracle_on_the_long_n6_layout(seed):
+    # the N=6 layout of the long benchmark workloads: 1600 frames, 4 chips
+    cfg = ThUwbConfig(chip_len=161, frame_len=644, total_len=644 * 1600,
+                      pulses=[PulseSpec(order=k % 3) for k in range(6)], seed=seed,
+                      occupancy=0.25, overlap_mode=OverlapMode.ALLOW_THREE)
+    assert cfg.n_frames == 1600
+    assert generate_sources(cfg).tobytes() == _old_generate_sources(cfg, cfg.pulses).tobytes()
+
+
+@pytest.mark.parametrize("frames, tail", [(1000, 0), (1001, 0), (1001, 20)])
+@pytest.mark.parametrize("seed", [0, 5, 2**32])
+def test_generate_sources_matches_the_oracle_on_long_at_most_two_trains(frames, tail, seed):
+    # its three middle sources hop over one chip, so integers(1) draws nothing
+    # and their sign draws take the two halves of one generator word in turn
+    cfg = ThUwbConfig(chip_len=7, frame_len=42, total_len=42 * frames + tail,
+                      pulses=[PulseSpec(order=k % 3, amplitude=k + 0.5) for k in range(5)],
+                      seed=seed, occupancy=0.6, overlap_mode=OverlapMode.AT_MOST_TWO)
+    windows = _old_hop_windows_for_mode(cfg.overlap_mode, cfg.n_sources, cfg.n_chips)
+    assert [count for _, count in windows] == [2, 1, 1, 1, 2]
+    want = _old_generate_sources(cfg, cfg.pulses, windows)
+    assert generate_sources(cfg).tobytes() == want.tobytes()
+
+
+def _per_frame_draws(rng, n_frames, count):
+    """The gate, chip and sign draws one scalar call at a time, frame after frame."""
+    draws = [(rng.random(), rng.integers(count), rng.integers(2)) for _ in range(n_frames)]
+    return [np.array(column) for column in zip(*draws)]
+
+
+@pytest.mark.parametrize("count, n_frames", [
+    (1, 1), (1, 2), (1, 49), (1, 50),  # sign halves paired across frames, either parity
+    (2, 50), (3, 50), (4, 51), (5, 50), (7, 50), (100, 50),  # Lemire thresholds 0 and not
+    (2**31 + 1, 50),  # about half the chip draws rejected
+    (2**32, 50), (2**32 + 1, 50),  # the edge of 32 bits, and past it
+])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32])
+def test_frame_draws_equal_the_per_frame_generator_calls(count, n_frames, seed):
+    got = _frame_draws(np.random.default_rng([seed, 3]), n_frames, count)
+    want = _per_frame_draws(np.random.default_rng([seed, 3]), n_frames, count)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (n_frames,)
+        assert g.tolist() == w.tolist()
+
+
+def test_frame_draws_fall_back_to_the_scalar_calls_on_a_rejected_chip_draw():
+    # 2**32 % (2**31 + 1) = 2**31 - 1, so about half of the chip draws are
+    # rejected and redrawn; the generator then ends where the scalar calls
+    # leave it, past the 2 words per frame that one bulk read would take
+    count, n_frames = 2**31 + 1, 50
+    for seed in range(5):
+        rng, scalar, bulk = (np.random.default_rng([seed, 0]) for _ in range(3))
+        _frame_draws(rng, n_frames, count)
+        _per_frame_draws(scalar, n_frames, count)
+        bulk.bit_generator.random_raw(2 * n_frames)
+        assert rng.bit_generator.state == scalar.bit_generator.state
+        assert rng.bit_generator.state != bulk.bit_generator.state
 
 
 @settings(max_examples=200, deadline=None)
