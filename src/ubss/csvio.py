@@ -4,7 +4,10 @@ Signals are stored one column per channel, one row per sample, with a header
 row.  Floats are written with 17 significant digits so a read back reproduces
 the exact values; reruns of the same configuration are byte-identical.  Sparse
 signals repeat rows (silence, and one pulse shape per source), so signal files
-are formatted, and read back, one distinct row at a time rather than per sample.
+are formatted, and read back, one distinct row at a time rather than per sample:
+the writer groups rows by a lexsort of their columns' bits, and the reader
+splits the file's bytes on newlines and parses each distinct line once.  A
+signal file is ASCII text with rows ending in \n or \r\n.
 """
 
 from __future__ import annotations
@@ -30,34 +33,54 @@ def _fmt(v: float) -> str:
 
 
 def write_signals(path, signals: np.ndarray) -> None:
-    x = np.ascontiguousarray(signals, dtype=float)
+    x = np.atleast_1d(np.asarray(signals, dtype=float))
     if x.ndim != 2 or x.size == 0:
         raise ValueError(
             f"signals must be 2-D with at least one row and one column, got shape {x.shape}")
     header = ",".join(f"ch{k + 1}" for k in range(x.shape[1]))
-    # rows compared by their bytes, so -0.0 and 0.0 stay apart
-    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    # rows grouped by their bits, so -0.0 and 0.0 stay apart; the columns are
+    # read in place, and a group starts wherever any column changes
+    bits = x.T.view(np.int64)
+    order = np.lexsort(bits)
+    starts = np.zeros(len(order), bool)
+    starts[0] = True
+    for column in bits:
+        sorted_column = column[order]
+        starts[1:] |= sorted_column[1:] != sorted_column[:-1]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
     fmt = ",".join(["%.17g"] * x.shape[1])
-    text = np.array([fmt % tuple(row) for row in x[first].tolist()], dtype=object)
+    text = np.array([fmt % tuple(row) for row in x[order[starts]].tolist()], dtype=object)
     _write_lines(path, [header, *text[inverse].tolist()])
 
 
+# what str.splitlines also breaks a line at: with none of these, and every
+# \r followed by \n, splitting the bytes on \n gives the same rows
+_OTHER_LINE_BREAKS = b"\v\f\x1c\x1d\x1e"
+
+
 def read_signals(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if (not data.isascii() or any(c in data for c in _OTHER_LINE_BREAKS)
+            or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))):
+        raise ValueError(f"{path}: not a signal CSV: expected ASCII text with rows "
+                         "ending in \\n or \\r\\n")
+    rows = data.split(b"\n")
+    if not rows[-1]:
+        del rows[-1]  # the empty piece after a final newline
+    if not rows:
         raise ValueError(f"{path}: empty file")
-    width = lines[0].count(",") + 1
-    rows = lines[1:]
+    width = rows.pop(0).count(b",") + 1  # the header
     if not rows:
         raise ValueError(f"{path}: no data rows")
     # each distinct line is checked and parsed once, in order of first
-    # appearance, so the first bad one found is also the first bad row
+    # appearance, so the first bad one found is also the first bad row;
+    # float() strips the \r that ends a \r\n row
     code = dict.fromkeys(rows)
     table = []
     for n, line in enumerate(code):
-        fields = line.split(",")
+        fields = line.split(b",")
         if len(fields) != width:
             raise ValueError(
                 f"{path}: row {rows.index(line) + 2} has {len(fields)} fields, expected {width}")

@@ -202,7 +202,8 @@ repeated_rows = st.integers(1, 4).flatmap(
     lambda width: st.tuples(
         arrays(float, st.tuples(st.integers(0, 3), st.just(width)), elements=samples),
         st.lists(st.sampled_from((0.0, -0.0)), min_size=width, max_size=width),
-        st.lists(st.integers(0, 4), min_size=1, max_size=60),
+        st.integers(0, width - 1),
+        st.lists(st.integers(0, 5), min_size=1, max_size=60),
     )
 )
 
@@ -210,14 +211,19 @@ repeated_rows = st.integers(1, 4).flatmap(
 @settings(max_examples=100, deadline=None)
 @given(drawn=repeated_rows)
 def test_signals_of_repeated_rows_match_the_row_by_row_oracles(tmp_path_factory, drawn):
-    # most rows repeat one of a pool of 2-5, two of which differ only in the signs of zeros
-    rows, zeros, picks = drawn
+    # most rows repeat one of a pool of 3-6: two differ only in the signs of
+    # zeros, and the last differs from the first only in the last bit of one column
+    rows, zeros, column, picks = drawn
     pool = np.vstack([rows, zeros, np.negative(zeros)])
+    near = pool[:1].copy()
+    near.view(np.int64)[0, column] ^= 1
+    pool = np.vstack([pool, near])
     x = pool[np.array(picks) % len(pool)]
-    path = tmp_path_factory.mktemp("csv") / "signals.csv"
-    write_signals(path, x)
-    assert path.read_text() == write_signals_oracle(x)
-    assert read_signals(path).tobytes() == read_signals_oracle(path).tobytes() == x.tobytes()
+    for signals in (x, np.asfortranarray(x)):
+        path = tmp_path_factory.mktemp("csv") / "signals.csv"
+        write_signals(path, signals)
+        assert path.read_bytes() == write_signals_oracle(x).encode()
+        assert read_signals(path).tobytes() == read_signals_oracle(path).tobytes() == x.tobytes()
 
 
 FIELDS = ("1", "-0.0", "0.0", " 2.5 ", "5e-324", "1e308", "1_0", "nan", "-inf", "y", "x", "", "3,4")
@@ -242,6 +248,61 @@ def test_read_signals_matches_the_oracle_on_any_text(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "signals.csv"
     path.write_text(text)
     assert _outcome(read_signals, path) == _outcome(read_signals_oracle, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=csv_texts())
+def test_read_signals_of_crlf_rows_matches_the_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "signals.csv"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    assert _outcome(read_signals, path) == _outcome(read_signals_oracle, path)
+
+
+def test_crlf_rows_read_to_the_bits_of_their_lf_twin(tmp_path):
+    x = np.random.default_rng(2).normal(size=(30, 3))
+    x[::3] = [0.0, -0.0, 5e-324]  # repeated rows, as in a sparse signal
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_signals(lf, x)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_signals(crlf).tobytes() == read_signals(lf).tobytes() == x.tobytes()
+
+
+def test_a_last_row_without_a_newline_reads_like_the_oracle(tmp_path):
+    path = tmp_path / "signals.csv"
+    for text in ("ch1,ch2\n1,2\n-0.0,4", "ch1,ch2\r\n1,2\r\n-0.0,4"):
+        path.write_bytes(text.encode())
+        assert read_signals(path).tobytes() == read_signals_oracle(path).tobytes()
+        assert read_signals(path).tobytes() == np.array([[1.0, 2.0], [-0.0, 4.0]]).tobytes()
+    path.write_bytes(b"ch1,ch2\n1,2\n3")
+    with pytest.raises(ValueError, match="row 3 has 1 fields, expected 2"):
+        read_signals(path)
+
+
+NOT_A_SIGNAL_CSV = "not a signal CSV: expected ASCII text with rows ending in \\n or \\r\\n"
+
+
+@pytest.mark.parametrize("data", [
+    "ch1,ch2\n1,\u0662\n".encode(),  # ARABIC-INDIC DIGIT TWO, which float(str) reads as 2
+    "ch1,ch2\n1,\u00a02\n".encode(),  # a no-break space, which float(str) strips
+    "ch1,ch2\n1,2\n".encode("utf-8-sig"),  # a byte-order mark
+    b"ch1,ch2\n1,2\xe9\n",  # a Latin-1 byte, not UTF-8
+], ids=["unicode-digit", "no-break-space", "bom", "latin-1"])
+def test_read_signals_refuses_text_that_is_not_ascii(tmp_path, data):
+    path = tmp_path / "signals.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {NOT_A_SIGNAL_CSV}")):
+        read_signals(path)
+
+
+@pytest.mark.parametrize("brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_read_signals_refuses_a_line_break_other_than_lf_and_crlf(tmp_path, brk):
+    # str.splitlines breaks rows at each of these; splitting on \n would not
+    path = tmp_path / "signals.csv"
+    for text in (f"ch1,ch2{brk}1,2{brk}3,4{brk}", f"ch1,ch2\n1,{brk}2\n3,4\n",
+                 f"ch1,ch2\r\n1,2\r\n3,4{brk}"):
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=re.escape(NOT_A_SIGNAL_CSV)):
+            read_signals(path)
 
 
 def test_estimated_matrix_round_trip(tmp_path):
