@@ -7,7 +7,8 @@ signals repeat rows (silence, and one pulse shape per source), so signal files
 are formatted, and read back, one distinct row at a time rather than per sample:
 the writer groups rows by a lexsort of their columns' bits, and the reader
 splits the file's bytes on newlines and parses each distinct line once.  A
-signal file is ASCII text with rows ending in \n or \r\n.
+signal file is ASCII text with rows ending in \n or \r\n; the estimated
+matrix's one-column ratio file is read through the same byte path and parser.
 """
 
 from __future__ import annotations
@@ -59,19 +60,24 @@ def write_signals(path, signals: np.ndarray) -> None:
 _OTHER_LINE_BREAKS = b"\v\f\x1c\x1d\x1e"
 
 
-def read_signals(path) -> np.ndarray:
+def _lines(path, kind: str) -> list[bytes]:
+    """The rows of a CSV file, header first, split from its bytes at each newline."""
     with open(path, "rb") as fh:
         data = fh.read()
     if (not data.isascii() or any(c in data for c in _OTHER_LINE_BREAKS)
             or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))):
-        raise ValueError(f"{path}: not a signal CSV: expected ASCII text with rows "
+        raise ValueError(f"{path}: not a {kind} CSV: expected ASCII text with rows "
                          "ending in \\n or \\r\\n")
     rows = data.split(b"\n")
     if not rows[-1]:
         del rows[-1]  # the empty piece after a final newline
     if not rows:
         raise ValueError(f"{path}: empty file")
-    width = rows.pop(0).count(b",") + 1  # the header
+    return rows
+
+
+def _parse(path, rows: list[bytes], width: int, field: str) -> np.ndarray:
+    """The data rows (header removed) as a column-major float table of `width` columns."""
     if not rows:
         raise ValueError(f"{path}: no data rows")
     # each distinct line is checked and parsed once, in order of first
@@ -88,15 +94,21 @@ def read_signals(path) -> np.ndarray:
             table.append(list(map(float, fields)))
         except ValueError:
             raise ValueError(
-                f"{path}: row {rows.index(line) + 2} has a non-numeric field") from None
+                f"{path}: row {rows.index(line) + 2} has a non-numeric {field}") from None
         code[line] = n
     table = np.array(table)
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         line = list(code)[bad[0]]
-        raise ValueError(f"{path}: row {rows.index(line) + 2} has a non-finite field")
+        raise ValueError(f"{path}: row {rows.index(line) + 2} has a non-finite {field}")
     order = np.fromiter(map(code.__getitem__, rows), np.intp, len(rows))
     return np.take(table.T, order, axis=1).T  # column-major, like the signals the core builds
+
+
+def read_signals(path) -> np.ndarray:
+    rows = _lines(path, "signal")
+    width = rows.pop(0).count(b",") + 1  # the header
+    return _parse(path, rows, width, "field")
 
 
 def write_estimated_matrix(path, est: EstimatedMatrix) -> None:
@@ -104,18 +116,12 @@ def write_estimated_matrix(path, est: EstimatedMatrix) -> None:
 
 
 def read_estimated_matrix(path) -> EstimatedMatrix:
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "ratio":
+    rows = _lines(path, "ratio")
+    if rows.pop(0).removesuffix(b"\r") != b"ratio":
         raise ValueError(f"{path}: expected a 'ratio' header row")
-    ratios = []
-    for num, line in enumerate(lines[1:], start=2):
-        try:
-            ratios.append(float(line))
-        except ValueError:
-            raise ValueError(f"{path}: row {num} has a non-numeric ratio") from None
+    ratios = _parse(path, rows, 1, "ratio")[:, 0]
     try:
-        return EstimatedMatrix(np.array(ratios))
+        return EstimatedMatrix(ratios)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -125,8 +125,14 @@ def count_uncovered(
     finite, and a pair index outside [-1, len(permutation)) is refused.
     """
     s = np.asarray(sources, dtype=float)
+    return _count_uncovered(s, _active_counts(s), pairs, permutation)
+
+
+def _count_uncovered(
+    s: np.ndarray, counts: np.ndarray, pairs: np.ndarray, permutation: list[int | None]
+) -> int:
+    """count_uncovered of the float sources s, given their _active_counts."""
     p = np.asarray(pairs)
-    counts = _active_counts(s)
     if p.ndim != 2 or p.shape[1] != 2 or not np.issubdtype(p.dtype, np.integer):
         raise ValueError(f"pairs must be a (T, 2) integer array, got shape {p.shape} of {p.dtype}")
     if s.shape[0] != p.shape[0]:

@@ -27,7 +27,10 @@ from .estimation import (
 )
 from .evaluation import (
     SeparationReport,
+    _active_counts,
+    _count_uncovered,
     align_and_score,
+    # run_experiment counts through the private helpers; these stay importable here
     count_uncovered,
     max_simultaneous_sources,
 )
@@ -165,8 +168,10 @@ def run_experiment(
     eps, hist, est = _estimate(cfg, mixtures)
     separated, pairs = separate(mixtures, est, eps, return_pairs=True)
     report = align_and_score(sources, separated)
-    wrong = count_uncovered(sources, pairs, report.permutation)
-    max_sim = max_simultaneous_sources(sources)
+    # count_uncovered and max_simultaneous_sources, from one active count
+    counts = _active_counts(sources)
+    wrong = _count_uncovered(sources, counts, pairs, report.permutation)
+    max_sim = int(counts.max(initial=0))
 
     if write_files:
         _write_artifacts(

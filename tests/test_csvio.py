@@ -329,6 +329,30 @@ def test_read_estimated_matrix_errors(tmp_path):
         read_estimated_matrix(path)
 
 
+@pytest.mark.parametrize("data", [
+    b"ratio\n0.5\xe9\n2.0\n",  # not UTF-8: once a decode error that named no file
+    "ratio\r0.5\r\u0662\r".encode(),  # lone \r and an Arabic-Indic two: once read as [0.5, 2.0]
+], ids=["latin-1", "cr-and-arabic-indic-digit"])
+def test_read_estimated_matrix_refuses_what_read_signals_refuses(tmp_path, data):
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(data)
+    message = NOT_A_SIGNAL_CSV.replace("signal", "ratio")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_estimated_matrix(path)
+
+
+def test_read_estimated_matrix_reads_crlf_rows_and_refuses_non_finite_ratios(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(b"ratio\r\n2.0\r\n-0.5\r\n")
+    assert read_estimated_matrix(path).ratios.tolist() == [2.0, -0.5]
+    for text, message in (("ratio\n2.0\nnan\n", "row 3 has a non-finite ratio"),
+                          ("ratio\n", "no data rows"),
+                          ("ratio\n2.0,1.0\n", "row 2 has 2 fields, expected 1")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_estimated_matrix(path)
+
+
 def test_write_report_skips_unmatched(tmp_path):
     report = SeparationReport(
         permutation=[2, None, 0],

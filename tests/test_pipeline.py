@@ -81,6 +81,17 @@ def test_run_experiment_result_is_consistent(tmp_path):
     assert r.max_simultaneous == max_simultaneous_sources(r.sources)
 
 
+def test_run_experiment_builds_the_active_count_once(tmp_path, monkeypatch):
+    calls = []
+    real = pipeline._active_counts
+    monkeypatch.setattr(pipeline, "_active_counts", lambda s: calls.append(s) or real(s))
+    r = run_experiment(_cfg(tmp_path / "out"), write_files=False, verbose=False)
+    assert len(calls) == 1 and calls[0] is r.sources
+    # the public counts stay reachable where the pipeline's callers look them up
+    assert pipeline.count_uncovered is count_uncovered
+    assert pipeline.max_simultaneous_sources is max_simultaneous_sources
+
+
 def test_run_experiment_verbose_output(tmp_path, capsys):
     cfg = _cfg(tmp_path / "out")
     run_experiment(cfg, write_files=False, verbose=True)

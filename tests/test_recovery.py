@@ -1,7 +1,9 @@
 import itertools
 import re
+import tracemalloc
 import warnings
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ubss import EstimatedMatrix, separate
-from ubss.estimation import DEGENERATE_TOL
+from ubss import EstimatedMatrix, recovery, separate
+from ubss.estimation import DEGENERATE_TOL, checked_mixtures
 
 # Per-sample scalar reference of the vectorized separate(): one angle, one
 # base pair and one 2x2 solve at a time.
@@ -315,3 +317,149 @@ def test_separate_returns_finite_values_or_refuses(ratios, x):
             assert max(np.abs(ratios).max(), np.abs(x).max()) > 1e140
             return
     assert np.isfinite(out).all()
+
+
+# One-shot reference of the blocked separate(): every active row's
+# intermediates built at once, as separate() did before it solved in blocks.
+
+
+def one_shot_separate(mixtures, est, activity_eps, return_pairs=False):
+    x = checked_mixtures(mixtures, activity_eps, "separation")
+    if est.n_sources < 2:
+        raise ValueError(f"separation needs at least 2 estimated columns, got {est.n_sources}")
+
+    x1, x2 = x[:, 0], x[:, 1]
+    rows = np.flatnonzero((np.abs(x1) > activity_eps) | (np.abs(x2) > activity_eps))
+    x1a, x2a = x1[rows], x2[rows]
+    with np.errstate(over="ignore"):  # x2/x1 may overflow to inf: arctan(inf) is pi/2
+        theta = np.arctan(np.divide(x2a, x1a, out=np.full_like(x2a, np.inf), where=x1a != 0.0))
+    dist = np.abs(theta[:, None] - np.arctan(est.ratios)[None, :])
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :2]
+    i, j = nearest.T
+    a_i, a_j = est.ratios[i], est.ratios[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        denom = a_j - a_i  # |denom| >= 1e-12: EstimatedMatrix keeps its ratios that far apart
+        s_i = (a_j * x1a - x2a) / denom
+        s_j = (x2a - a_i * x1a) / denom
+    # a gap past the largest float divides to a wrong zero, so denom is checked too
+    finite = np.isfinite(s_i) & np.isfinite(s_j) & np.isfinite(denom)
+    if not finite.all():
+        raise ValueError(f"separated row {rows[finite.argmin()]} holds NaN or inf")
+    n = x.shape[0]
+    out = np.zeros((est.n_sources, n))  # row k is column k of the column-major result
+    out.ravel()[i * n + rows] = s_i  # a flat index scatters faster than out[i, rows]
+    out.ravel()[j * n + rows] = s_j
+    pairs = np.full((n, 2), -1, dtype=np.int64)
+    pairs[rows, 0], pairs[rows, 1] = i, j
+
+    if return_pairs:
+        return out.T, pairs
+    return out.T
+
+
+def _outcome(mixtures, est, eps, block=None):
+    """(estimates, pairs) of one call, or its refusal message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if block is None:
+                return one_shot_separate(mixtures, est, eps, return_pairs=True)
+            with mock.patch.object(recovery, "_BLOCK", block):
+                return separate(mixtures, est, eps, return_pairs=True)
+        except ValueError as exc:
+            return str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    (out, pairs), (want_out, want_pairs) = got, want
+    assert out.flags.f_contiguous and want_out.flags.f_contiguous
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+    assert pairs.dtype == want_pairs.dtype and pairs.tobytes() == want_pairs.tobytes()
+
+
+_EPS = 1e-6
+_VALUES = (0.0, -0.0, 1e-9, -1e-7, 0.25, -1.0, 3.0, 1e308, -1e308)
+_RATIOS = (-4.0, -1.0, -0.5, 0.0, 0.2, 0.5, 0.9, 1.4, 2.0, 3.2, 1e308, -1e308, 1e300)
+
+
+@st.composite
+def _blocked_cases(draw):
+    """A block size of 1-20 rows and mixtures whose length is often a multiple
+    of it, with a silent stretch that can span whole blocks."""
+    block = draw(st.integers(1, 20))
+    t = block * draw(st.integers(0, 5)) + draw(st.integers(0, block - 1))
+    assume(t >= 1)
+    x = draw(arrays(float, (t, 2), elements=st.one_of(st.sampled_from(_VALUES),
+                                                      st.floats(-10.0, 10.0))))
+    lo = draw(st.integers(0, t))
+    x[lo:draw(st.integers(lo, t))] = 0.0
+    return block, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_blocked_cases(),
+       ratios=st.lists(st.one_of(st.sampled_from(_RATIOS), st.floats(-5.0, 5.0)),
+                       min_size=2, max_size=6))
+@example(case=(4, np.zeros((12, 2))), ratios=[0.5, 2.0])  # every block inactive
+@example(case=(3, np.array([[1.0, 2.0]] * 3 + [[0.0, 0.0]] * 6 + [[1.0, -1.0]] * 3)),
+         ratios=[0.5, 2.0, -1.0])  # an inactive block between active ones
+@example(case=(3, np.array([[1.0, 1.0]] * 7 + [[10.0, 1.0], [3.0, 0.0], [10.0, 1.0]])),
+         ratios=[1e308, 0.0])  # the overflow sits in the third block of four
+@example(case=(5, np.array([[1.0, 2.0]] * 5 + [[1e308, -1e308]] + [[1.0, 2.0]] * 9)),
+         ratios=[2.0, -1e308, 0.5])  # the overflow opens the second of three blocks
+def test_blocked_separate_matches_the_one_shot_oracle(case, ratios):
+    block, x = case
+    try:
+        est = EstimatedMatrix(ratios=tuple(ratios))
+    except ValueError:
+        assume(False)
+    _assert_same_outcome(_outcome(x, est, _EPS, block), _outcome(x, est, _EPS))
+
+
+@pytest.mark.parametrize("block", range(1, 21))
+def test_a_refusal_in_a_later_block_names_the_first_failing_row(block):
+    # rows 0-29 solve; rows 31 and 37 overflow (a_j * x1 = 1e309); the block
+    # holding row 31 is the first failing one whatever the block size
+    x = np.tile([[1.0, 1.0]], (40, 1))
+    x[30] = 0.0
+    x[[31, 37]] = [10.0, 1.0]
+    est = EstimatedMatrix(ratios=(1e308, 0.0))
+    got = _outcome(x, est, _EPS, block)
+    assert got == "separated row 31 holds NaN or inf"
+    assert got == _outcome(x, est, _EPS)
+
+
+def test_separate_allocates_pairs_only_when_asked():
+    est = EstimatedMatrix(ratios=(0.2, 0.5, 0.9, 1.4, 2.0, 3.2))
+    x = np.random.default_rng(2).normal(size=(2**16, 2))
+    peaks = []
+    for return_pairs in (False, True):
+        tracemalloc.start()
+        try:
+            separate(x, est, _EPS, return_pairs=return_pairs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the (T, 2) int64 pairs take 1 MB here; the rest of the peak is the same
+    assert peaks[1] - peaks[0] >= x.shape[0] * 16
+
+
+@pytest.mark.parametrize("t", [2**17, 2**19])
+def test_separate_needs_the_outputs_plus_one_block(t):
+    # every row active, the worst case for a block's temporaries (3.4 MB with
+    # numpy 2.4); solved at once, the rows would take 21 MB beyond the outputs
+    # at T=2**17 and 84 MB at 2**19
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(t, 2))
+    est = EstimatedMatrix(ratios=(0.2, 0.5, 0.9, 1.4, 2.0, 3.2))
+    tracemalloc.start()
+    try:
+        out, pairs = separate(x, est, _EPS, return_pairs=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes - pairs.nbytes < 5 * 2**20
