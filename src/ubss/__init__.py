@@ -16,10 +16,10 @@ from .estimation import (
     build_histogram,
     compute_ratios,
     estimate_mixing,
+    separate,
 )
 from .evaluation import SeparationReport, align_and_score
 from .pipeline import ExperimentResult, run_experiment
-from .recovery import separate
 from .signals import OverlapMode, PulseSpec, ThUwbConfig, generate_sources, mix
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .estimation import (
     build_histogram,
     compute_ratios,
     estimate_mixing,
+    separate,
 )
 from .evaluation import (
     SeparationReport,
@@ -34,7 +35,6 @@ from .evaluation import (
     count_uncovered,
     max_simultaneous_sources,
 )
-from .recovery import separate
 from .signals import generate_sources, mix
 
 SOURCES_CSV = "sources.csv"

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ubss import (
     EstimatedMatrix,
@@ -9,7 +12,9 @@ from ubss import (
     build_histogram,
     compute_ratios,
     estimate_mixing,
+    separate,
 )
+from ubss.config import default_activity_eps
 from ubss.estimation import quantize
 
 Q = 1e-4
@@ -60,6 +65,20 @@ def test_build_histogram_refuses_a_ratio_whose_step_would_wrap():
     # just below the bound every ratio keeps its sign and magnitude
     hist = build_histogram(np.array([2.0**50, -(2.0**50)]), 1.0)
     assert sorted(hist.bins) == [-(2.0**50), 2.0**50]
+
+
+@pytest.mark.parametrize("ratios, message", [
+    ([0.5, 1e16, np.nan], "ratio 1e+16 at index 1 is too large for quantum 0.0001"),
+    ([0.5, np.nan, 1e16], "non-finite ratio at index 1"),
+    ([-np.inf, -1e16], "non-finite ratio at index 0"),
+    ([-1e16, np.inf], "ratio -1e+16 at index 0 is too large for quantum 0.0001"),
+])
+def test_build_histogram_names_the_first_bad_ratio(ratios, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            build_histogram(np.array(ratios), Q)
+    assert str(info.value) == message
 
 
 def test_build_histogram_refuses_a_ratio_whose_step_would_not_round_trip():
@@ -259,6 +278,32 @@ def test_compute_ratios_refuses_non_finite_mixtures(channel, value):
     x[4, 1 - channel] = value
     with pytest.raises(ValueError, match="mixtures row 3 holds NaN or inf"):
         compute_ratios(x, activity_eps=1e-9)
+
+
+@st.composite
+def _one_bad_sample(draw):
+    """Finite mixtures whose x1 is not all zero, and one (row, channel) to spoil."""
+    x = draw(arrays(float, st.tuples(st.integers(1, 12), st.just(2)),
+                    elements=st.floats(-1e3, 1e3)))
+    assume(np.any(x[:, 0] != 0.0))
+    return x, draw(st.integers(0, x.shape[0] - 1)), draw(st.integers(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_one_bad_sample(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@example(case=(np.array([[1.0, 2.0], [0.0, 1.0], [0.5, 0.1]]), 1, 0), bad=np.nan)
+def test_mixtures_are_checked_before_the_threshold_derived_from_them(case, bad):
+    # a threshold taken from a channel holding NaN or inf is itself NaN or inf;
+    # the refusal names the bad sample, not the threshold
+    x, row, channel = case
+    x = x.copy()
+    x[row, channel] = bad
+    eps = default_activity_eps(x[:, 0])
+    message = f"^mixtures row {row} holds NaN or inf$"
+    with pytest.raises(ValueError, match=message):
+        compute_ratios(x, eps)
+    with pytest.raises(ValueError, match=message):
+        separate(x, EstimatedMatrix(ratios=(2.0, 0.5)), eps)
 
 
 def test_end_to_end_ratio_recovery_exact():

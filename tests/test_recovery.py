@@ -11,8 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ubss import EstimatedMatrix, recovery, separate
-from ubss.estimation import DEGENERATE_TOL, checked_mixtures
+from ubss import EstimatedMatrix, estimation, separate
+from ubss.estimation import DEGENERATE_TOL, _checked_mixtures
 
 # Per-sample scalar reference of the vectorized separate(): one angle, one
 # base pair and one 2x2 solve at a time.
@@ -324,7 +324,7 @@ def test_separate_returns_finite_values_or_refuses(ratios, x):
 
 
 def one_shot_separate(mixtures, est, activity_eps, return_pairs=False):
-    x = checked_mixtures(mixtures, activity_eps, "separation")
+    x = _checked_mixtures(mixtures, activity_eps)
     if est.n_sources < 2:
         raise ValueError(f"separation needs at least 2 estimated columns, got {est.n_sources}")
 
@@ -364,7 +364,7 @@ def _outcome(mixtures, est, eps, block=None):
         try:
             if block is None:
                 return one_shot_separate(mixtures, est, eps, return_pairs=True)
-            with mock.patch.object(recovery, "_BLOCK", block):
+            with mock.patch.object(estimation, "_BLOCK", block):
                 return separate(mixtures, est, eps, return_pairs=True)
         except ValueError as exc:
             return str(exc)
