@@ -84,8 +84,8 @@ def _write_artifacts(
         (separated, SEPARATED_CSV, SEPARATED_SVG),
     ):
         if signals is not None:
+            csvio.write_text(out / svg_name, svgplot.waveform_svg(signals))  # refuses T < 2 first
             csvio.write_signals(out / csv_name, signals)
-            csvio.write_text(out / svg_name, svgplot.waveform_svg(signals))
     if estimate is not None:
         hist, est = estimate
         export_bar_graph(hist, out / HISTOGRAM_CSV)

@@ -152,30 +152,22 @@ def _frame_draws(rng: np.random.Generator, n_frames: int, count: int):
     """The (gate, chip, negative) arrays that, frame after frame,
     rng.random(), rng.integers(count) and rng.integers(2) would return.
 
-    The draws are read in one bulk random_raw call and decoded the way
-    default_rng's PCG64 hands them out.  random() takes a whole 64-bit word,
-    (word >> 11) * 2**-53.  A 32-bit draw takes the low half of a fresh word
-    and buffers the high half for the next one; integers(count) for
-    2 <= count <= 2**32 is Lemire's method on such a draw, and integers(2)
-    is the top bit of the buffered half.  integers(1) draws nothing, so with
-    count == 1 the sign halves pair up across frames.  A chip draw that
-    Lemire would reject, or a count past 32 bits, rewinds the generator and
-    makes the scalar calls instead.
+    For 2 <= count <= 2**32 the draws are read in one bulk random_raw call and
+    decoded the way default_rng's PCG64 hands them out.  random() takes a
+    whole 64-bit word, (word >> 11) * 2**-53.  A 32-bit draw takes the low
+    half of a fresh word and buffers the high half for the next one;
+    integers(count) is Lemire's method on such a draw, and integers(2) is the
+    top bit of the buffered half.  A one-chip window, a count past 32 bits and
+    a chip draw that Lemire would reject (after a rewind) make the scalar calls.
     """
-    raw = rng.bit_generator.random_raw
-    saved = rng.bit_generator.state
-    if count == 1:
-        words = raw(3 * -(-n_frames // 2)).reshape(-1, 3)  # gate, two signs, gate
-        gates = words[:, [0, 2]].ravel()[:n_frames]
-        signs = np.stack([words[:, 1] << 32, words[:, 1]], axis=1).ravel()[:n_frames]
-        return (gates >> 11) * 2.0**-53, np.zeros(n_frames, dtype=np.intp), signs >> 63
-    if count <= 2**32:
-        words = raw(2 * n_frames).reshape(-1, 2)  # gate, then chip and sign halves
+    if 2 <= count <= 2**32:
+        saved = rng.bit_generator.state
+        words = rng.bit_generator.random_raw(2 * n_frames).reshape(-1, 2)  # gate, chip + sign
         scaled = (words[:, 1] & _LOW32) * np.uint64(count)
         # Lemire rejects a draw whose product's low half is below 2**32 % count
         if not ((scaled & _LOW32) < 2**32 % count).any():
             return (words[:, 0] >> 11) * 2.0**-53, scaled >> 32, words[:, 1] >> 63
-    rng.bit_generator.state = saved
+        rng.bit_generator.state = saved
     draws = [(rng.random(), rng.integers(count), rng.integers(2)) for _ in range(n_frames)]
     return tuple(np.array(column) for column in zip(*draws))
 
@@ -193,10 +185,10 @@ def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
     only emits from chips it fully contains.  Source k's pulse is
     cfg.pulses[k], sampled at chip_len.  Being column-major changes no value.
 
-    The draws of a source are read from its generator in one bulk call and
-    decoded to exactly the values those per-frame calls would return (see
-    _frame_draws), and the source's pulses are then written all at once.
-    The decoding rests on default_rng's PCG64; tests/test_signals.py pins it
+    A source hopping over two or more chips reads its draws in one bulk call
+    and decodes them to exactly the values those per-frame calls would return
+    (see _frame_draws); its pulses are then written all at once.  The
+    decoding rests on default_rng's PCG64; tests/test_signals.py pins it
     against the per-frame calls and against the per-frame generator.
     """
     out = np.zeros((cfg.total_len, cfg.n_sources), order="F")

@@ -375,3 +375,28 @@ def test_separate_refuses_a_solve_that_overflows(tmp_path, capsys):
     row = int(np.flatnonzero(x.max(axis=1) > default_activity_eps(x[:, 0]))[0])
     assert captured.err == f"ubss separate: separated row {row} holds NaN or inf\n"
     assert not (out / pipeline.SEPARATED_CSV).exists()
+
+
+
+# a one-sample signal is refused by its waveform plot; the refused stage
+# writes none of its files, its signal CSV included
+ONE_SAMPLE_INPUTS = {
+    "generate": {},
+    "mix": {"sources": "ch1,ch2\n0.5,0\n"},
+    "separate": {"mixtures": "x1,x2\n0.2,0.4\n", "matrix": "ratio\n2\n0.5\n"},
+}
+
+
+@pytest.mark.parametrize("command", ONE_SAMPLE_INPUTS)
+def test_a_stage_refused_by_its_waveform_plot_writes_no_file(tmp_path, capsys, command):
+    text = BASE_CFG.replace("chip_len = 10\nframe_len = 40\ntotal_len = 1200\nn_sources = 3",
+                            "chip_len = 1\nframe_len = 1\ntotal_len = 1\nn_sources = 2")
+    text = text.replace("pulse_orders = 0, 1, 2", "pulse_orders = 0, 2")
+    argv = [command, _write_cfg(tmp_path, text.replace("0.3 ; 0.8 0.1 0.5", "; 0.8 0.1"))]
+    for flag, content in ONE_SAMPLE_INPUTS[command].items():
+        (tmp_path / f"{flag}.csv").write_text(content)
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"ubss {command}: waveform plot needs a (T, K) array, T >= 2, got shape (1, 2)\n")
+    assert sorted(p.name for p in (tmp_path / "out").glob("*")) == []

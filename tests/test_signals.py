@@ -242,8 +242,8 @@ def test_generate_sources_matches_the_oracle_on_the_long_n6_layout(seed):
 @pytest.mark.parametrize("frames, tail", [(1000, 0), (1001, 0), (1001, 20)])
 @pytest.mark.parametrize("seed", [0, 5, 2**32])
 def test_generate_sources_matches_the_oracle_on_long_at_most_two_trains(frames, tail, seed):
-    # its three middle sources hop over one chip, so integers(1) draws nothing
-    # and their sign draws take the two halves of one generator word in turn
+    # its three middle sources hop over one chip, so they take the per-frame
+    # calls over 1000 frames and more; the two outer ones take the bulk decode
     cfg = ThUwbConfig(chip_len=7, frame_len=42, total_len=42 * frames + tail,
                       pulses=[PulseSpec(order=k % 3, amplitude=k + 0.5) for k in range(5)],
                       seed=seed, occupancy=0.6, overlap_mode=OverlapMode.AT_MOST_TWO)
@@ -260,7 +260,7 @@ def _per_frame_draws(rng, n_frames, count):
 
 
 @pytest.mark.parametrize("count, n_frames", [
-    (1, 1), (1, 2), (1, 49), (1, 50),  # sign halves paired across frames, either parity
+    (1, 1), (1, 2), (1, 49), (1, 50),  # one-chip windows take the per-frame calls
     (2, 50), (3, 50), (4, 51), (5, 50), (7, 50), (100, 50),  # Lemire thresholds 0 and not
     (2**31 + 1, 50),  # about half the chip draws rejected
     (2**32, 50), (2**32 + 1, 50),  # the edge of 32 bits, and past it
