@@ -20,7 +20,7 @@ from .estimation import (
 )
 from .evaluation import SeparationReport, align_and_score
 from .pipeline import ExperimentResult, run_experiment
-from .signals import OverlapMode, PulseSpec, ThUwbConfig, generate_sources, mix
+from .signals import OverlapMode, ThUwbConfig, generate_sources, mix
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "OverlapMode",
-    "PulseSpec",
     "RatioHistogram",
     "SeparationReport",
     "ThUwbConfig",

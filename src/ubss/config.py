@@ -23,10 +23,11 @@ Config files are flat key-value text with section headers, for example:
     output_dir = out/exp1
 
 _KEYS lists every key; unknown ones are refused, and one left out takes the
-default of the object it configures.  n_sources sets the length of the pulse
-lists, whose defaults are orders 0, 1, 2, 0, ... and amplitude 1; the lists
-become the layout's pulses.  [mixing] matrix is required: rows are separated
-by semicolons, entries by whitespace.  Every pulse is chip_len samples wide.
+default of the object it configures.  n_sources sets the length of
+pulse_orders, which defaults to 0, 1, 2, 0, ...  [mixing] matrix is required:
+rows are separated by semicolons, entries by whitespace.  Every pulse is
+chip_len samples wide and peaks at 1, so a source's gain is set by the scale
+of its mixing column.
 Without activity_eps every stage derives it as 1e-6 times the largest |x1| it
 sees.
 """
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signals import OverlapMode, PulseSpec, ThUwbConfig, validate_mixing_matrix
+from .signals import OverlapMode, ThUwbConfig, validate_mixing_matrix
 
 ACTIVITY_REL = 1e-6
 
@@ -114,7 +115,7 @@ def _list(cast):
 _KEYS = {
     "signal": (
         {"chip_len": int, "frame_len": int, "total_len": int, "n_sources": int, "seed": int},
-        {"occupancy": float, "pulse_orders": _list(int), "pulse_amplitudes": _list(float)},
+        {"occupancy": float, "pulse_orders": _list(int)},
     ),
     "mixing": ({"matrix": parse_matrix}, {}),
     "estimation": ({}, {"quantum": float, "peak_fraction": float, "activity_eps": float}),
@@ -171,13 +172,11 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if n < 1:
         raise ConfigError(f"[signal] n_sources must be >= 1, got {n}")
     orders = signal.pop("pulse_orders", [k % 3 for k in range(n)])
-    amplitudes = signal.pop("pulse_amplitudes", [1.0] * n)
-    if len(orders) != n or len(amplitudes) != n:
-        raise ConfigError(f"[signal] pulse_orders/pulse_amplitudes must list {n} values")
+    if len(orders) != n:
+        raise ConfigError(f"[signal] pulse_orders must list {n} values")
     output_dir = run.pop("output_dir")
     try:  # what is left of [run] is the layout's overlap_mode, if the file sets it
-        pulses = [PulseSpec(order=o, amplitude=amp) for o, amp in zip(orders, amplitudes)]
-        th = ThUwbConfig(**signal, pulses=pulses, **run)
+        th = ThUwbConfig(**signal, pulse_orders=orders, **run)
     except ValueError as exc:
         raise ConfigError(f"[signal]: {exc}") from None
     return ExperimentConfig(th_uwb=th, mixing=values["mixing"]["matrix"],

@@ -10,7 +10,6 @@ memoryless linear combinations x(t) = A s(t).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,41 +28,24 @@ class OverlapMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PulseSpec:
-    """Shape of a single pulse: a Gaussian bell or one of its derivatives.
-
-    order: 0 for the bell itself, 1 or 2 for the first or second derivative.
-    amplitude: peak absolute value of the sampled pulse.
-    """
-
-    order: int
-    amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.order not in _VALID_ORDERS:
-            raise ValueError(f"pulse order must be one of {_VALID_ORDERS}, got {self.order}")
-        if not math.isfinite(self.amplitude) or self.amplitude == 0.0:
-            raise ValueError(f"pulse amplitude must be finite and nonzero, got {self.amplitude}")
-
-
-@dataclass(frozen=True)
 class ThUwbConfig:
     """Time-hopping layout of one run: its sources and how they hop.
 
-    pulses holds one PulseSpec per source, so it also sets n_sources; every
-    pulse is sampled chip_len wide and must not vanish there.  frame_len must
-    be a positive multiple of chip_len; a pulse fills one chip.  occupancy is
-    the per-frame emission probability (0 allowed, which yields silent
-    sources).  overlap_mode ALLOW_THREE hops every source over the whole
-    frame; AT_MOST_TWO, the default, staggers the sources so that no chip is
-    reachable by more than two of them, which needs n_sources + 1 chips per
-    frame once there are more than two sources.
+    pulse_orders holds each source's Gaussian-derivative order, so it also
+    sets n_sources; every pulse peaks at 1, so a source's gain is the scale of
+    its mixing column.  Pulses are sampled chip_len wide and must not vanish
+    there.  frame_len must be a positive multiple of chip_len; a pulse fills
+    one chip.  occupancy is the per-frame emission probability (0 allowed,
+    which yields silent sources).  overlap_mode ALLOW_THREE hops every source
+    over the whole frame; AT_MOST_TWO, the default, staggers the sources so
+    that no chip is reachable by more than two of them, which needs
+    n_sources + 1 chips per frame once there are more than two sources.
     """
 
     chip_len: int
     frame_len: int
     total_len: int
-    pulses: tuple[PulseSpec, ...]
+    pulse_orders: tuple[int, ...]
     seed: int
     occupancy: float = 1.0
     overlap_mode: OverlapMode = OverlapMode.AT_MOST_TWO
@@ -78,11 +60,11 @@ class ThUwbConfig:
             )
         if self.total_len < self.frame_len:
             raise ValueError(f"total_len must be >= frame_len, got {self.total_len}")
-        object.__setattr__(self, "pulses", tuple(self.pulses))
-        if not self.pulses:
-            raise ValueError("pulses must hold one PulseSpec per source, got none")
-        for spec in self.pulses:  # refuses a pulse that is identically zero at chip_len
-            pulse_shape(spec, self.chip_len)
+        object.__setattr__(self, "pulse_orders", tuple(self.pulse_orders))
+        if not self.pulse_orders:
+            raise ValueError("pulse_orders must hold one order per source, got none")
+        for order in self.pulse_orders:  # refuses a pulse that is identically zero at chip_len
+            pulse_shape(order, self.chip_len)
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 <= self.occupancy <= 1.0:
@@ -97,7 +79,7 @@ class ThUwbConfig:
 
     @property
     def n_sources(self) -> int:
-        return len(self.pulses)
+        return len(self.pulse_orders)
 
     @property
     def n_chips(self) -> int:
@@ -109,28 +91,31 @@ class ThUwbConfig:
         return -(-self.total_len // self.frame_len)
 
 
-def pulse_shape(spec: PulseSpec, width: int) -> np.ndarray:
-    """Sampled pulse of length width.
+def pulse_shape(order: int, width: int) -> np.ndarray:
+    """Sampled pulse of length width: a Gaussian bell (order 0) or its first or
+    second derivative (order 1 or 2).
 
     The underlying bell is exp(-2*pi*u**2) with u = (t - c) / (width / 4),
     centered on the sample grid at c = (width - 1) / 2, so odd widths hit the
     extremum exactly.  The order-th derivative in u is evaluated and rescaled
-    so the largest absolute sample equals spec.amplitude.
+    so the largest absolute sample is 1.
     """
+    if order not in _VALID_ORDERS:
+        raise ValueError(f"pulse order must be one of {_VALID_ORDERS}, got {order}")
     u = (np.arange(width) - 0.5 * (width - 1)) / (width / 4.0)
     bell = np.exp(-2.0 * np.pi * u * u)
-    if spec.order == 0:
+    if order == 0:
         raw = bell
-    elif spec.order == 1:
+    elif order == 1:
         raw = -4.0 * np.pi * u * bell
     else:
         raw = (16.0 * np.pi**2 * u * u - 4.0 * np.pi) * bell
     peak = float(np.max(np.abs(raw)))
     if peak == 0.0:
         raise ValueError(
-            f"degenerate pulse: order {spec.order} at width {width} is identically zero"
+            f"degenerate pulse: order {order} at width {width} is identically zero"
         )
-    return spec.amplitude / peak * raw
+    return 1.0 / peak * raw  # raw / peak would round some samples differently
 
 
 def _hop_windows(cfg: ThUwbConfig) -> list[tuple[int, int]]:
@@ -182,8 +167,9 @@ def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
     the frame emits, so equal seeds give equal signals regardless of
     occupancy.  A frame emits when its gate is below occupancy and the chosen
     chip lies entirely inside total_len; the trailing partial frame therefore
-    only emits from chips it fully contains.  Source k's pulse is
-    cfg.pulses[k], sampled at chip_len.  Being column-major changes no value.
+    only emits from chips it fully contains.  Source k's pulse has order
+    cfg.pulse_orders[k] and is sampled at chip_len.  Being column-major changes
+    no value.
 
     A source hopping over two or more chips reads its draws in one bulk call
     and decodes them to exactly the values those per-frame calls would return
@@ -201,7 +187,7 @@ def generate_sources(cfg: ThUwbConfig) -> np.ndarray:
         emits = (gate < cfg.occupancy) & (slot < n_slots)
         negative = negative.astype(bool)
         slots = out[: n_slots * cfg.chip_len, k].reshape(n_slots, cfg.chip_len)
-        shape = pulse_shape(cfg.pulses[k], cfg.chip_len)
+        shape = pulse_shape(cfg.pulse_orders[k], cfg.chip_len)
         slots[slot[emits & ~negative]] = shape
         slots[slot[emits & negative]] = -shape
     return out
@@ -248,10 +234,11 @@ def validate_mixing_matrix(mixing: np.ndarray) -> np.ndarray:
         raise ValueError(f"estimation requires exactly 2 mixture channels, got {a.shape[0]}")
     if not np.all(np.isfinite(a)):
         raise ValueError("mixing matrix entries must be finite")
-    norms = np.linalg.norm(a, axis=0)
-    if np.any(norms == 0.0):
+    peaks = np.max(np.abs(a), axis=0)
+    if np.any(peaks == 0.0):
         raise ValueError("mixing matrix has an all-zero column")
-    unit = a / norms
+    scaled = a / peaks  # entries in [-1, 1], so the norms neither overflow nor underflow
+    unit = scaled / np.linalg.norm(scaled, axis=0)
     n = a.shape[1]
     for i in range(n):
         for j in range(i + 1, n):

@@ -42,8 +42,10 @@ def waveform_svg(signals: np.ndarray) -> str:
     lowest and the highest y are kept, in time order, at their own x (M4).
     """
     x = np.asarray(signals, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError(f"waveform plot needs a (T, K) array, T >= 2, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
+        raise ValueError(
+            f"waveform plot needs a (T, K) array, T >= 2 and K >= 1, got shape {x.shape}"
+        )
     if not np.isfinite(x).all():
         raise ValueError("waveform plot needs finite values, got NaN or inf")
     n_samples, n_channels = x.shape

@@ -20,7 +20,6 @@ from ubss import (
     EstimatedMatrix,
     ExperimentConfig,
     OverlapMode,
-    PulseSpec,
     ThUwbConfig,
     align_and_score,
     generate_sources,
@@ -133,7 +132,7 @@ def test_04_lone_source_recovery_oracle():
     a = np.array([[1.0, 0.5, 0.25], [0.9, 0.3, 1.1]])
     est = EstimatedMatrix(ratios=tuple(a[1] / a[0]))
     th = ThUwbConfig(chip_len=161, frame_len=644, total_len=2898,
-                     pulses=[PulseSpec(order=k) for k in range(3)], seed=5,
+                     pulse_orders=[0, 1, 2], seed=5,
                      overlap_mode=OverlapMode.ALLOW_THREE)
     all_sources = generate_sources(th)
     worst = 0.0
@@ -187,7 +186,7 @@ def test_06_two_active_sources_recovered_exactly():
     # exact, and the pair the staggered hop layout lets co-fire (first and
     # last source) must never be misselected
     active_floor = 1e-6
-    bell = pulse_shape(PulseSpec(order=0), 161)
+    bell = pulse_shape(0, 161)
     worst_conditional = 0.0
     shared_wrong = 0
     shared_samples = 0
@@ -260,7 +259,7 @@ def _controlled_overlap_run(mode: OverlapMode):
         chip_len=161,
         frame_len=644,
         total_len=90 * 644,
-        pulses=[PulseSpec(order=0)] * 3,
+        pulse_orders=[0] * 3,
         seed=27,
         occupancy=1.0 / 3.0,
         overlap_mode=mode,

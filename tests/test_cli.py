@@ -273,17 +273,17 @@ def test_degenerate_estimated_matrix_is_rejected(tmp_path, capsys):
 
 
 def test_run_and_mix_refuse_mixtures_that_overflow(tmp_path, capsys):
-    # finite sources and a finite matrix whose product overflows to inf
-    text = BASE_CFG.replace("pulse_orders = 0, 1, 2", "pulse_orders = 0, 1, 2\n"
-                            "pulse_amplitudes = 1e300, 1e300, 1e300")
-    cfg = _write_cfg(tmp_path, text.replace("matrix = 0.4", "matrix = 4e10"))
+    # finite sources and a finite matrix whose product overflows to inf where
+    # two sources share a sample
+    huge = "matrix = 1.7e308 1.7e308 1.7e308 ; 1.7e308 -1.7e308 1"
+    cfg = _write_cfg(tmp_path, BASE_CFG.replace("matrix = 0.4 0.6 0.3 ; 0.8 0.1 0.5", huge))
     assert main(["run", cfg]) == 1
     run_err = capsys.readouterr().err
     assert main(["generate", cfg]) == 0
     assert main(["mix", cfg]) == 1
     mix_err = capsys.readouterr().err
-    assert run_err == "ubss run: mixtures row 13 holds NaN or inf\n"
-    assert mix_err == "ubss mix: mixtures row 13 holds NaN or inf\n"
+    assert run_err == "ubss run: mixtures row 14 holds NaN or inf\n"
+    assert mix_err == "ubss mix: mixtures row 14 holds NaN or inf\n"
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         pipeline.SOURCES_CSV, pipeline.SOURCES_SVG]
 
@@ -398,5 +398,6 @@ def test_a_stage_refused_by_its_waveform_plot_writes_no_file(tmp_path, capsys, c
         argv += [f"--{flag}", str(tmp_path / f"{flag}.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err == (
-        f"ubss {command}: waveform plot needs a (T, K) array, T >= 2, got shape (1, 2)\n")
+        f"ubss {command}: waveform plot needs a (T, K) array, T >= 2 and K >= 1,"
+        " got shape (1, 2)\n")
     assert sorted(p.name for p in (tmp_path / "out").glob("*")) == []

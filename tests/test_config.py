@@ -11,7 +11,6 @@ from ubss import (
     ConfigError,
     ExperimentConfig,
     OverlapMode,
-    PulseSpec,
     ThUwbConfig,
     generate_sources,
     load_config,
@@ -28,7 +27,6 @@ n_sources = 3
 seed = 11
 occupancy = 0.75
 pulse_orders = 0, 1, 2
-pulse_amplitudes = 1.0, 2.0, 0.5
 
 [mixing]
 matrix = 0.4 0.6 0.3 ; 0.8 0.1 0.5
@@ -73,8 +71,7 @@ def test_load_config_full(tmp_path):
     assert cfg.th_uwb.n_sources == 3
     assert cfg.th_uwb.seed == 11
     assert cfg.th_uwb.occupancy == 0.75
-    assert [p.order for p in cfg.th_uwb.pulses] == [0, 1, 2]
-    assert [p.amplitude for p in cfg.th_uwb.pulses] == [1.0, 2.0, 0.5]
+    assert cfg.th_uwb.pulse_orders == (0, 1, 2)
     assert np.array_equal(cfg.mixing, [[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
     assert cfg.quantum == 2e-4
     assert cfg.peak_fraction == 0.2
@@ -86,8 +83,7 @@ def test_load_config_full(tmp_path):
 def test_load_config_defaults(tmp_path):
     cfg = load_config(_write(tmp_path, MINIMAL_CFG))
     assert cfg.th_uwb.occupancy == 1.0
-    assert [p.order for p in cfg.th_uwb.pulses] == [0, 1, 2]
-    assert [p.amplitude for p in cfg.th_uwb.pulses] == [1.0, 1.0, 1.0]
+    assert cfg.th_uwb.pulse_orders == (0, 1, 2)
     assert np.array_equal(cfg.mixing, [[0.4, 0.6, 0.3], [0.8, 0.1, 0.5]])
     assert cfg.quantum == 1e-4
     assert cfg.peak_fraction == 0.1
@@ -118,6 +114,10 @@ def test_load_config_refuses_unknown_entries(tmp_path):
     retired = FULL_CFG.replace("0.8 0.1 0.5\n", "0.8 0.1 0.5\nrows = 2\n")
     with pytest.raises(ConfigError, match=r"unknown entries: \[mixing\] rows$"):
         load_config(_write(tmp_path, retired))
+    # a source's gain is its mixing column's; the pulse list holds orders only
+    gains = FULL_CFG.replace("0, 1, 2\n", "0, 1, 2\npulse_amplitudes = 1.0, 2.0, 0.5\n")
+    with pytest.raises(ConfigError, match=r"unknown entries: \[signal\] pulse_amplitudes$"):
+        load_config(_write(tmp_path, gains))
     extra = MINIMAL_CFG + "verbose = yes\n\n[plots]\nwidth = 3\n"
     with pytest.raises(ConfigError, match=r"unknown entries: \[plots\], \[run\] verbose$"):
         load_config(_write(tmp_path, extra))
@@ -198,7 +198,7 @@ def test_degenerate_pulse_message_is_the_same_from_file_and_code(tmp_path):
         load_config(_write(tmp_path, text))
     with pytest.raises(ValueError) as from_code:
         ThUwbConfig(chip_len=1, frame_len=4, total_len=120,
-                    pulses=[PulseSpec(order=0), PulseSpec(order=1), PulseSpec(order=2)], seed=0)
+                    pulse_orders=[0, 1, 2], seed=0)
     expected = "degenerate pulse: order 1 at width 1 is identically zero"
     assert str(from_code.value) == expected
     assert str(from_file.value) == f"[signal]: {expected}"
@@ -208,7 +208,7 @@ def test_overlap_mode_default_is_the_same_from_file_and_code(tmp_path):
     # MINIMAL_CFG sets no overlap_mode, so file and code share the layout's default
     cfg = load_config(_write(tmp_path, MINIMAL_CFG))
     th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
-                     pulses=[PulseSpec(order=k) for k in range(3)], seed=7)
+                     pulse_orders=[0, 1, 2], seed=7)
     assert cfg.th_uwb.overlap_mode is th.overlap_mode is OverlapMode.AT_MOST_TWO
     assert cfg.th_uwb == th
     assert np.array_equal(build_sources(cfg), generate_sources(th))
@@ -221,6 +221,11 @@ def test_load_config_matrix_errors(tmp_path):
     bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "1 2 4 ; 2 4 8")
     with pytest.raises(ConfigError, match=r"\[mixing\] matrix: .*parallel"):
         load_config(_write(tmp_path, bad))
+    # columns whose norms overflow the float range are parallel all the same
+    bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "1e308 1e308 1 ; 1e308 1e308 2")
+    with pytest.raises(ConfigError) as info:
+        load_config(_write(tmp_path, bad))
+    assert str(info.value) == "[mixing] matrix: mixing matrix columns 0 and 1 are parallel"
     # the ratio model's rules are refused at load, not first at run
     bad = FULL_CFG.replace("0.4 0.6 0.3 ; 0.8 0.1 0.5", "0.4 0.0 0.3 ; 0.8 0.1 0.5")
     with pytest.raises(ConfigError, match=r"\[mixing\] matrix: column 1 has a zero first entry"):
@@ -256,7 +261,7 @@ def test_overlap_mode_message_is_the_same_from_file_and_code(tmp_path):
     with pytest.raises(ConfigError) as from_file:
         load_config(_write(tmp_path, bad))
     with pytest.raises(ValueError) as from_code:
-        ThUwbConfig(chip_len=10, frame_len=40, total_len=120, pulses=[PulseSpec(order=0)] * 3,
+        ThUwbConfig(chip_len=10, frame_len=40, total_len=120, pulse_orders=[0] * 3,
                     seed=0, overlap_mode="sometimes")
     expected = "overlap_mode must be one of at_most_two, allow_three, got 'sometimes'"
     assert str(from_code.value) == expected
@@ -269,7 +274,7 @@ def test_non_finite_settings_are_refused(tmp_path, key, value):
     text = re.sub(rf"^{key} = .*$", f"{key} = {value}", FULL_CFG, flags=re.M)
     with pytest.raises(ConfigError, match=f"^{key} must be positive and finite, got {value}$"):
         load_config(_write(tmp_path, text))
-    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, pulses=[PulseSpec(order=0)] * 3,
+    th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120, pulse_orders=[0] * 3,
                      seed=0)
     with pytest.raises(ConfigError, match=f"^{key} must be positive and finite"):
         ExperimentConfig(th_uwb=th, mixing=np.array([[1.0, 1.0, 1.0], [0.5, 1.0, 2.0]]),
@@ -406,7 +411,7 @@ def test_experiment_config_matches_the_three_site_oracle(case):
     a, n_sources = case
     expected = _three_site_messages(a, n_sources)
     th = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
-                     pulses=[PulseSpec(order=0)] * n_sources, seed=0,
+                     pulse_orders=[0] * n_sources, seed=0,
                      overlap_mode=OverlapMode.ALLOW_THREE)
     fields = dict(
         th_uwb=th,

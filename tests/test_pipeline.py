@@ -9,7 +9,6 @@ from ubss import (
     ConfigError,
     ExperimentConfig,
     OverlapMode,
-    PulseSpec,
     ThUwbConfig,
     load_config,
 )
@@ -44,7 +43,7 @@ CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def _cfg(out_dir, seed=3, mode=OverlapMode.AT_MOST_TWO, **kw):
     th = ThUwbConfig(
-        chip_len=10, frame_len=40, total_len=1200, pulses=[PulseSpec(order=k) for k in range(3)],
+        chip_len=10, frame_len=40, total_len=1200, pulse_orders=[0, 1, 2],
         seed=seed, overlap_mode=mode,
     )
     fields = dict(
@@ -117,7 +116,7 @@ def test_run_experiment_needs_two_rows(tmp_path):
         _cfg(
             tmp_path / "out",
             th_uwb=ThUwbConfig(chip_len=10, frame_len=40, total_len=400,
-                               pulses=[PulseSpec(order=0)], seed=0),
+                               pulse_orders=[0], seed=0),
             mixing=np.array([[0.5]]),
         )
     with pytest.raises(ConfigError, match="exactly 2 mixture channels, got 3"):
@@ -149,7 +148,7 @@ def test_stage_mix_refuses_what_run_refuses(tmp_path):
     # run_experiment and every stage take an ExperimentConfig, so a matrix
     # outside the ratio model is refused before any stage can run
     th = ThUwbConfig(chip_len=10, frame_len=40, total_len=400,
-                     pulses=[PulseSpec(order=0), PulseSpec(order=1)], seed=5)
+                     pulse_orders=[0, 1], seed=5)
     three_rows = np.vstack([_cfg(tmp_path).mixing, [0.2, 0.9, 0.7]])
     for bad, message in (
         # zero first entry in column 1: outside the ratio model

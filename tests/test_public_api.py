@@ -21,7 +21,6 @@ def test_all_lists_the_public_names():
         "ExperimentConfig",
         "ExperimentResult",
         "OverlapMode",
-        "PulseSpec",
         "RatioHistogram",
         "SeparationReport",
         "ThUwbConfig",

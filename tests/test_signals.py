@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ubss import (
     OverlapMode,
-    PulseSpec,
     ThUwbConfig,
     generate_sources,
     mix,
@@ -14,45 +13,46 @@ from ubss.evaluation import max_simultaneous_sources
 from ubss.signals import _frame_draws, pulse_shape, validate_mixing_matrix
 
 
-def test_pulse_spec_validation():
-    with pytest.raises(ValueError, match="order"):
-        PulseSpec(order=3)
-    with pytest.raises(ValueError, match="amplitude"):
-        PulseSpec(order=0, amplitude=0.0)
-    with pytest.raises(ValueError, match="amplitude"):
-        PulseSpec(order=0, amplitude=float("nan"))
+def test_pulse_order_validation():
+    expected = "pulse order must be one of (0, 1, 2), got 3"
+    with pytest.raises(ValueError) as info:
+        pulse_shape(3, 9)
+    assert str(info.value) == expected
+    with pytest.raises(ValueError) as info:
+        ThUwbConfig(chip_len=10, frame_len=40, total_len=120, pulse_orders=[0, 3], seed=0)
+    assert str(info.value) == expected
 
 
 def test_pulse_shape_length_and_peak():
     for order in (0, 1, 2):
         for width in (9, 33, 161):
-            shape = pulse_shape(PulseSpec(order=order, amplitude=2.5), width)
+            shape = pulse_shape(order, width)
             assert shape.shape == (width,)
-            assert np.max(np.abs(shape)) == pytest.approx(2.5, rel=1e-15)
+            assert np.max(np.abs(shape)) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_pulse_shape_order0_peaks_at_center():
-    shape = pulse_shape(PulseSpec(order=0), 161)
+    shape = pulse_shape(0, 161)
     assert shape[80] == 1.0
     assert np.all(shape > 0.0)
     assert np.allclose(shape, shape[::-1])
 
 
 def test_pulse_shape_order1_is_odd():
-    shape = pulse_shape(PulseSpec(order=1), 161)
+    shape = pulse_shape(1, 161)
     assert shape[80] == 0.0
     assert np.allclose(shape, -shape[::-1])
 
 
 def test_pulse_shape_order2_center_trough():
-    shape = pulse_shape(PulseSpec(order=2), 161)
+    shape = pulse_shape(2, 161)
     assert shape[80] == pytest.approx(-1.0, rel=1e-15)
     assert np.allclose(shape, shape[::-1])
     assert np.max(shape) > 0.0
 
 
 def test_th_uwb_config_validation():
-    good = dict(chip_len=10, frame_len=40, total_len=120, pulses=[PulseSpec(order=0)] * 3, seed=0)
+    good = dict(chip_len=10, frame_len=40, total_len=120, pulse_orders=[0] * 3, seed=0)
     ThUwbConfig(**good)
     with pytest.raises(ValueError, match="chip_len"):
         ThUwbConfig(**{**good, "chip_len": 0})
@@ -78,19 +78,19 @@ def test_th_uwb_config_validation():
 def test_layout_holds_one_pulse_per_source():
     fields = dict(chip_len=10, frame_len=40, total_len=120, seed=0)
     with pytest.raises(ValueError) as info:
-        ThUwbConfig(pulses=(), **fields)
-    assert str(info.value) == "pulses must hold one PulseSpec per source, got none"
+        ThUwbConfig(pulse_orders=(), **fields)
+    assert str(info.value) == "pulse_orders must hold one order per source, got none"
     for n in (1, 2, 3):
-        pulses = [PulseSpec(order=k % 3, amplitude=k + 1.0) for k in range(n)]
-        cfg = ThUwbConfig(pulses=pulses, **fields)
-        assert cfg.n_sources == len(cfg.pulses) == n
-        assert cfg.pulses == tuple(pulses)
+        orders = [k % 3 for k in range(n)]
+        cfg = ThUwbConfig(pulse_orders=orders, **fields)
+        assert cfg.n_sources == len(cfg.pulse_orders) == n
+        assert cfg.pulse_orders == tuple(orders)
         assert generate_sources(cfg).shape == (120, n)
 
 
 def test_generate_sources_layout():
     cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
-                      pulses=[PulseSpec(order=0), PulseSpec(order=1)], seed=3)
+                      pulse_orders=[0, 1], seed=3)
     src = generate_sources(cfg)
     assert src.shape == (120, 2)
     # at most one pulse per frame, confined to a single chip
@@ -104,7 +104,7 @@ def test_generate_sources_layout():
 
 def test_generate_sources_returns_one_contiguous_column_per_source():
     cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=120,
-                      pulses=[PulseSpec(order=0), PulseSpec(order=1)], seed=3)
+                      pulse_orders=[0, 1], seed=3)
     src = generate_sources(cfg)
     assert src.flags.f_contiguous and not src.flags.c_contiguous
 
@@ -112,17 +112,17 @@ def test_generate_sources_returns_one_contiguous_column_per_source():
 def test_generate_sources_deterministic_and_per_source():
     fields = dict(chip_len=10, frame_len=40, total_len=400, seed=7,
                   overlap_mode=OverlapMode.ALLOW_THREE)
-    cfg = ThUwbConfig(pulses=[PulseSpec(order=0)] * 3, **fields)
+    cfg = ThUwbConfig(pulse_orders=[0] * 3, **fields)
     a = generate_sources(cfg)
     b = generate_sources(cfg)
     assert np.array_equal(a, b)
     # adding a source leaves the existing source streams untouched
-    c = generate_sources(ThUwbConfig(pulses=[PulseSpec(order=0)] * 4, **fields))
+    c = generate_sources(ThUwbConfig(pulse_orders=[0] * 4, **fields))
     assert np.array_equal(a, c[:, :3])
 
 
 def test_generate_sources_occupancy_thins_frames():
-    base = dict(chip_len=10, frame_len=40, total_len=4000, pulses=[PulseSpec(order=0)], seed=5)
+    base = dict(chip_len=10, frame_len=40, total_len=4000, pulse_orders=[0], seed=5)
     full = generate_sources(ThUwbConfig(**base, occupancy=1.0))
     half = generate_sources(ThUwbConfig(**base, occupancy=0.5))
     empty = generate_sources(ThUwbConfig(**base, occupancy=0.0))
@@ -138,14 +138,14 @@ def test_generate_sources_hop_windows():
     # windows, every middle source keeps a chip of its own from chip 3 on
     for n_chips, chips in ((4, [{0, 1}, {3}, {1, 2}]), (6, [{0, 1}, {3}, {4}, {1, 2}])):
         cfg = ThUwbConfig(chip_len=10, frame_len=10 * n_chips, total_len=100 * n_chips,
-                          pulses=[PulseSpec(order=0)] * len(chips), seed=1,
+                          pulse_orders=[0] * len(chips), seed=1,
                           overlap_mode=OverlapMode.AT_MOST_TWO)
         src = generate_sources(cfg)
         for k, want in enumerate(chips):
             starts = np.flatnonzero(src[:, k])[::10]
             assert set((starts % cfg.frame_len) // 10) == want
     # allow_three hops every source over the whole frame
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=4000, pulses=[PulseSpec(order=0)] * 3,
+    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=4000, pulse_orders=[0] * 3,
                       seed=1, overlap_mode=OverlapMode.ALLOW_THREE)
     src = generate_sources(cfg)
     for k in range(3):
@@ -154,7 +154,7 @@ def test_generate_sources_hop_windows():
 
 def test_generate_sources_trailing_partial_frame():
     # 3 full frames plus 15 samples: only chip 0 of the last frame fits
-    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=135, pulses=[PulseSpec(order=0)],
+    cfg = ThUwbConfig(chip_len=10, frame_len=40, total_len=135, pulse_orders=[0],
                       seed=2)
     src = generate_sources(cfg)
     assert src.shape == (135, 1)
@@ -174,14 +174,14 @@ def _old_hop_windows_for_mode(mode, n_sources, n_chips):
     return [(0, 2)] + middles + [(1, 2)]
 
 
-def _old_generate_sources(cfg, pulses, hop_windows=None):
+def _old_generate_sources(cfg, orders, hop_windows=None):
     """generate_sources as it stood with explicit hop windows, pulses chip_len wide."""
     if hop_windows is None:
         hop_windows = [(0, cfg.n_chips)] * cfg.n_sources
     out = np.zeros((cfg.total_len, cfg.n_sources))
     for k in range(cfg.n_sources):
         rng = np.random.default_rng([cfg.seed, k])
-        shape = pulse_shape(pulses[k], cfg.chip_len)
+        shape = pulse_shape(orders[k], cfg.chip_len)
         start, count = hop_windows[k]
         for f in range(cfg.n_frames):
             gate = rng.random()
@@ -205,13 +205,11 @@ def layouts(draw):
     frame_len = chip_len * draw(st.integers(floor, floor + 3))
     # whole frames plus a trailing partial one, possibly empty
     total_len = frame_len * draw(st.integers(1, 30)) + draw(st.integers(0, frame_len - 1))
-    amplitudes = st.sampled_from([1.0, -1.0, 2.5, 0.3, 1e-3])
     return ThUwbConfig(
         chip_len=chip_len,
         frame_len=frame_len,
         total_len=total_len,
-        pulses=[PulseSpec(order=draw(st.sampled_from((0, 1, 2))), amplitude=draw(amplitudes))
-                for _ in range(n)],
+        pulse_orders=[draw(st.sampled_from((0, 1, 2))) for _ in range(n)],
         seed=draw(st.integers(0, 2**32)),
         occupancy=draw(st.floats(0.0, 1.0)),
         overlap_mode=mode,
@@ -223,7 +221,7 @@ def layouts(draw):
 def test_generate_sources_matches_the_explicit_window_oracle(cfg):
     windows = _old_hop_windows_for_mode(cfg.overlap_mode, cfg.n_sources, cfg.n_chips)
     got = generate_sources(cfg)
-    want = _old_generate_sources(cfg, cfg.pulses, windows)
+    want = _old_generate_sources(cfg, cfg.pulse_orders, windows)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     if cfg.overlap_mode is OverlapMode.AT_MOST_TWO:
         assert max_simultaneous_sources(got) <= 2
@@ -233,10 +231,10 @@ def test_generate_sources_matches_the_explicit_window_oracle(cfg):
 def test_generate_sources_matches_the_oracle_on_the_long_n6_layout(seed):
     # the N=6 layout of the long benchmark workloads: 1600 frames, 4 chips
     cfg = ThUwbConfig(chip_len=161, frame_len=644, total_len=644 * 1600,
-                      pulses=[PulseSpec(order=k % 3) for k in range(6)], seed=seed,
+                      pulse_orders=[k % 3 for k in range(6)], seed=seed,
                       occupancy=0.25, overlap_mode=OverlapMode.ALLOW_THREE)
     assert cfg.n_frames == 1600
-    assert generate_sources(cfg).tobytes() == _old_generate_sources(cfg, cfg.pulses).tobytes()
+    assert generate_sources(cfg).tobytes() == _old_generate_sources(cfg, cfg.pulse_orders).tobytes()
 
 
 @pytest.mark.parametrize("frames, tail", [(1000, 0), (1001, 0), (1001, 20)])
@@ -245,11 +243,11 @@ def test_generate_sources_matches_the_oracle_on_long_at_most_two_trains(frames, 
     # its three middle sources hop over one chip, so they take the per-frame
     # calls over 1000 frames and more; the two outer ones take the bulk decode
     cfg = ThUwbConfig(chip_len=7, frame_len=42, total_len=42 * frames + tail,
-                      pulses=[PulseSpec(order=k % 3, amplitude=k + 0.5) for k in range(5)],
+                      pulse_orders=[k % 3 for k in range(5)],
                       seed=seed, occupancy=0.6, overlap_mode=OverlapMode.AT_MOST_TWO)
     windows = _old_hop_windows_for_mode(cfg.overlap_mode, cfg.n_sources, cfg.n_chips)
     assert [count for _, count in windows] == [2, 1, 1, 1, 2]
-    want = _old_generate_sources(cfg, cfg.pulses, windows)
+    want = _old_generate_sources(cfg, cfg.pulse_orders, windows)
     assert generate_sources(cfg).tobytes() == want.tobytes()
 
 
@@ -292,7 +290,7 @@ def test_frame_draws_fall_back_to_the_scalar_calls_on_a_rejected_chip_draw():
 @given(n=st.integers(1, 7), n_chips=st.integers(1, 8), mode=st.sampled_from(list(OverlapMode)))
 def test_layout_refuses_exactly_what_the_old_windows_refused(n, n_chips, mode):
     fields = dict(chip_len=3, frame_len=3 * n_chips, total_len=30 * n_chips,
-                  pulses=[PulseSpec(order=0)] * n, seed=0, overlap_mode=mode)
+                  pulse_orders=[0] * n, seed=0, overlap_mode=mode)
     try:
         _old_hop_windows_for_mode(mode, n, n_chips)
     except ValueError as exc:
@@ -369,3 +367,45 @@ def test_validate_mixing_matrix():
     # anti-parallel columns are parallel too
     with pytest.raises(ValueError, match="parallel"):
         validate_mixing_matrix(np.array([[1.0, -1.0], [2.0, -2.0]]))
+
+
+@pytest.mark.parametrize("mixing", [
+    [[1e308, 1e308], [1e308, 1e308]],
+    [[1e308, 1e308, 1.0], [1e308, 1e308, 2.0]],
+])
+def test_validate_mixing_matrix_refuses_parallel_columns_whose_norms_overflow(mixing):
+    with pytest.raises(ValueError) as info:
+        validate_mixing_matrix(np.array(mixing))
+    assert str(info.value) == "mixing matrix columns 0 and 1 are parallel"
+
+
+def test_validate_mixing_matrix_accepts_columns_whose_squares_underflow():
+    a = np.array([[1e-200, 2e-200], [3e-200, 1e-200]])
+    assert np.array_equal(validate_mixing_matrix(a), a)
+
+
+@st.composite
+def two_row_matrices(draw):
+    n = draw(st.integers(1, 5))
+    # zero entries are common, so that zero columns and zero first entries occur
+    entry = st.one_of(st.just(0.0), st.floats(2**-11, 2**4), st.floats(-(2**4), -(2**-11)))
+    a = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=2, max_size=2)))
+    for j in range(1, n):
+        if draw(st.booleans()):  # a multiple of an earlier column
+            a[:, j] = draw(st.sampled_from([-2.0, 0.5, 3.0])) * a[:, draw(st.integers(0, j - 1))]
+    return a
+
+
+def _refusal(mixing):
+    try:
+        validate_mixing_matrix(mixing)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=two_row_matrices(), e=st.integers(-1000, 1000))
+def test_validate_mixing_matrix_decides_the_same_at_every_scale(a, e):
+    # every nonzero |entry| lies in [2**-12, 2**6], so times 2**e it stays a normal float
+    assert _refusal(np.ldexp(a, e)) == _refusal(a)

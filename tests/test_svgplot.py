@@ -165,6 +165,14 @@ def test_waveform_svg_scales_the_largest_finite_values_without_overflow():
     assert polylines(svg) == [[("20.00", "25.00"), ("450.00", "80.00"), ("880.00", "135.00")]]
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (2, 0), (1, 2), (0, 3), (5,), (2, 2, 1)])
+def test_waveform_svg_refuses_a_shape_with_nothing_to_draw_and_names_it(shape):
+    with pytest.raises(ValueError) as info:
+        waveform_svg(np.zeros(shape))
+    assert str(info.value) == (
+        f"waveform plot needs a (T, K) array, T >= 2 and K >= 1, got shape {shape}")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_waveform_svg_refuses_non_finite_samples(bad):
     x = np.zeros((5, 2))
